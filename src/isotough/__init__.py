@@ -8,7 +8,7 @@ diverse set of pairwise non-isomorphic representatives.
 """
 
 from .canonical import CanonicalForm, are_isomorphic, canonical_code, \
-    canonical_form, canonical_graph, deduplicate, to_networkx
+    canonical_form, canonical_graph, deduplicate
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, ScopeError
 from .evolve import CandidateRecord, DiversitySelection, RunResult, \
@@ -51,5 +51,5 @@ __all__ = [
     "pair_count",
     "parse_ratio", "pseudo_greedy_estimate", "report", "requirement_bound",
     "requirement_check", "roulette_select", "run_solver",
-    "single_point_crossover", "star", "to_networkx",
+    "single_point_crossover", "star",
 ]

@@ -1,35 +1,45 @@
 """Canonical forms and isomorphism-aware deduplication.
 
-Exact canonical labeling uses iterated degree refinement plus an
+Canonical labeling uses iterated degree refinement plus an
 individualization search: branch on the vertices of the first smallest
-non-singleton color class, keep the lexicographically smallest relabeled
-encoding over all leaves, and prune sibling branches that an already
-discovered automorphism maps onto a tried one.  Orders above the limit fall
-back to a refinement-invariant hash flagged as approximate; deduplication
-then confirms collisions pairwise.
+non-singleton color class and relabel each leaf by its discrete coloring.
+The canonical code is the smallest relabeled encoding over the leaves of
+that search tree.  The tree depends only on the isomorphism class, so the
+code is a class invariant; it is not in general the smallest encoding over
+all n! relabelings.
+
+Two leaves with equal codes yield an automorphism, and the search prunes
+with those in the individualization-refinement way (McKay & Piperno,
+"Practical graph isomorphism, II", J. Symb. Comput. 60, 2014): a child that
+shares an orbit of the prefix stabilizer with an earlier sibling is skipped,
+and a leaf that equals the best one jumps back to the two leaves' common
+ancestor.  Pruning changes how many leaves are visited, never the code.
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
+from .graphs import MAX_ORDER, Graph
 
-from .graphs import Graph, edge_index
-
-DEFAULT_CANONICAL_LIMIT = 16
-
-# Soft cap on stored automorphisms; pruning with a subset stays correct.
-_MAX_AUTOMORPHISMS = 512
+# Every order up to MAX_ORDER is labeled exactly.  The name stays because
+# callers outside the package (perfbench) still compare orders against it.
+DEFAULT_CANONICAL_LIMIT = MAX_ORDER
 
 
 def _refine(adj: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
-    """Iterated neighbor-color refinement with invariant class numbering."""
+    """Iterated neighbor-color refinement with invariant class numbering.
+
+    A vertex's signature is its color plus its sorted neighbor colors; the
+    neighbor part only orders vertices within a class, so singletons skip it.
+    """
     while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                for v in range(len(colors))]
+        sizes = Counter(colors)
+        color_of = colors.__getitem__
+        sigs = [(c, tuple(sorted(map(color_of, adj[v]))) if sizes[c] > 1
+                 else ()) for v, c in enumerate(colors)]
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [palette[sig] for sig in sigs]
         if new == colors:
@@ -45,155 +55,125 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
 
 
 def _relabeled_code(edges: Sequence[tuple[int, int]], label: Sequence[int],
-                    n: int) -> int:
+                    row: Sequence[int]) -> int:
+    # Pair (a, b), a < b, sits at bit row[a] + b; see graphs.edge_index.
     code = 0
     for u, v in edges:
-        code |= 1 << edge_index(label[u], label[v], n)
+        a, b = label[u], label[v]
+        code |= 1 << (row[a] + b if a < b else row[b] + a)
     return code
 
 
+def _find(orbit: list[int], x: int) -> int:
+    while orbit[x] != x:
+        orbit[x] = orbit[orbit[x]]
+        x = orbit[x]
+    return x
+
+
 def canonical_code(g: Graph) -> int:
-    """Smallest encoding over all vertex relabelings."""
+    """Smallest relabeled encoding over the leaves of the refinement search.
+
+    Isomorphic graphs get equal codes and non-isomorphic graphs of one order
+    get different ones.
+    """
     n = g.n
     if n <= 1:
         return 0
     adj = tuple(g.neighbors(v) for v in range(n))
     edges = tuple(g.edges())
-    colors = _refine(adj, [0] * n)
+    row = [a * (n - 1) - a * (a - 1) // 2 - a - 1 for a in range(n)]
 
-    best: dict = {"code": None, "inverse": None}
-    autos: list[tuple[int, ...]] = []
+    best: dict = {"code": None, "order": None, "path": None}
+    autos: list[dict[int, int]] = []  # each keeps only its moved points
+    path: list[int] = []
 
-    def record_leaf(colors: list[int]) -> None:
-        order = sorted(range(n), key=lambda v: colors[v])
+    def leaf(colors: list[int]) -> int:
+        order = sorted(range(n), key=colors.__getitem__)
         label = [0] * n
         for position, v in enumerate(order):
             label[v] = position
-        code = _relabeled_code(edges, label, n)
+        code = _relabeled_code(edges, label, row)
         if best["code"] is None or code < best["code"]:
-            best["code"] = code
-            best["inverse"] = order
-        elif code == best["code"] and len(autos) < _MAX_AUTOMORPHISMS:
-            inverse = best["inverse"]
-            autos.append(tuple(inverse[label[v]] for v in range(n)))
+            best.update(code=code, order=order, path=path[:])
+        elif code == best["code"]:
+            # Mapping this leaf onto the best one is an automorphism that
+            # fixes their common prefix, so the rest of this leaf's branch
+            # mirrors an explored one: resume at the common ancestor.
+            order = best["order"]
+            autos.append({v: order[label[v]] for v in range(n)
+                          if order[label[v]] != v})
+            return next(depth for depth, (a, b)
+                        in enumerate(zip(path, best["path"])) if a != b)
+        return len(path)
 
-    def same_orbit(a: int, b: int, prefix: list[int]) -> bool:
-        gens = [p for p in autos
-                if all(p[x] == x for x in prefix)]
-        if not gens:
-            return False
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in gens:
-            for x in range(n):
-                rx, ry = find(x), find(p[x])
-                if rx != ry:
-                    parent[rx] = ry
-        return find(a) == find(b)
-
-    prefix: list[int] = []
-
-    def search(colors: list[int]) -> None:
-        class_count = len(set(colors))
-        if class_count == n:
-            record_leaf(colors)
-            return
-        sizes: dict[int, int] = {}
-        for c in colors:
-            sizes[c] = sizes.get(c, 0) + 1
+    def search(colors: list[int]) -> int:
+        """Explore one node; return the depth the search resumes at."""
+        depth = len(path)
+        sizes = Counter(colors)
+        if len(sizes) == n:
+            return leaf(colors)
         target = min((size, c) for c, size in sizes.items() if size > 1)[1]
         cell = [v for v in range(n) if colors[v] == target]
-        tried: list[int] = []
+        # Orbits of the automorphisms found so far that fix the prefix; each
+        # root is the smallest vertex of its orbit, so a child is tried only
+        # if no smaller sibling shares its orbit.
+        orbit = list(range(n))
+        merged = 0
         for v in cell:
-            if any(same_orbit(v, w, prefix) for w in tried):
+            if _find(orbit, v) != v:
                 continue
-            tried.append(v)
-            prefix.append(v)
-            search(_refine(adj, _individualize(colors, v)))
-            prefix.pop()
+            path.append(v)
+            resume = search(_refine(adj, _individualize(colors, v)))
+            path.pop()
+            if resume < depth:
+                return resume
+            for moved in autos[merged:]:
+                if moved.keys().isdisjoint(path):
+                    for x, y in moved.items():
+                        rx, ry = _find(orbit, x), _find(orbit, y)
+                        if rx != ry:
+                            orbit[max(rx, ry)] = min(rx, ry)
+            merged = len(autos)
+        return depth
 
-    search(colors)
+    search(_refine(adj, [0] * n))
     return best["code"]
-
-
-def invariant_hash(g: Graph) -> str:
-    """Refinement-based isomorphism invariant (collisions possible)."""
-    adj = tuple(g.neighbors(v) for v in range(g.n))
-    colors = _refine(adj, [0] * g.n)
-    profile = sorted((colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                     for v in range(g.n))
-    payload = repr((g.n, profile)).encode()
-    return hashlib.sha256(payload).hexdigest()
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     key: str
-    exact: bool
 
 
-def canonical_form(g: Graph, limit: int = DEFAULT_CANONICAL_LIMIT
-                   ) -> CanonicalForm:
-    """Equal keys iff isomorphic while `exact` holds; hash mode otherwise."""
-    if g.n <= limit:
-        canon = canonical_graph(g)
-        return CanonicalForm(key=f"{g.n}:{canon.bits()}", exact=True)
-    return CanonicalForm(key=f"{g.n}#{invariant_hash(g)}", exact=False)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Key `"n:<canonical bits>"`; equal keys iff isomorphic."""
+    return CanonicalForm(key=f"{g.n}:{canonical_graph(g).bits()}")
 
 
 def canonical_graph(g: Graph) -> Graph:
     return Graph(g.n, canonical_code(g))
 
 
-def to_networkx(g: Graph) -> "nx.Graph":
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    return h
-
-
-def are_isomorphic(g1: Graph, g2: Graph,
-                   limit: int = DEFAULT_CANONICAL_LIMIT) -> bool:
+def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return False
-    if g1.n <= limit:
-        return canonical_code(g1) == canonical_code(g2)
-    return nx.is_isomorphic(to_networkx(g1), to_networkx(g2))
+    return canonical_code(g1) == canonical_code(g2)
 
 
-def deduplicate(graphs: Iterable[Graph], limit: int = DEFAULT_CANONICAL_LIMIT
-                ) -> list[Graph]:
+def deduplicate(graphs: Iterable[Graph]) -> list[Graph]:
     """One representative per isomorphism class, smallest bit string wins.
 
     Output is ordered by first appearance of each class.
     """
     reps: list[Graph] = []
-    exact_index: dict[str, int] = {}
-    hash_index: dict[str, list[int]] = {}
+    index: dict[str, int] = {}
     for g in graphs:
-        form = canonical_form(g, limit=limit)
-        if form.exact:
-            at = exact_index.get(form.key)
-            if at is None:
-                exact_index[form.key] = len(reps)
-                reps.append(g)
-            elif g.bits() < reps[at].bits():
-                reps[at] = g
-        else:
-            slot = None
-            for at in hash_index.get(form.key, []):
-                if nx.is_isomorphic(to_networkx(g), to_networkx(reps[at])):
-                    slot = at
-                    break
-            if slot is None:
-                hash_index.setdefault(form.key, []).append(len(reps))
-                reps.append(g)
-            elif g.bits() < reps[slot].bits():
-                reps[slot] = g
+        key = canonical_form(g).key
+        at = index.get(key)
+        if at is None:
+            index[key] = len(reps)
+            reps.append(g)
+        elif g.bits() < reps[at].bits():
+            reps[at] = g
     return reps

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .canonical import DEFAULT_CANONICAL_LIMIT, canonical_form, deduplicate
+from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
 from .factors import delta_scope, requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
@@ -307,8 +307,7 @@ def run_solver(config: SolverConfig,
                      diversified=diversified, timings=timings)
 
 
-def diversity_enhancement(graphs: Sequence[Graph], limit: int,
-                          canonical_limit: int = DEFAULT_CANONICAL_LIMIT
+def diversity_enhancement(graphs: Sequence[Graph], limit: int
                           ) -> DiversitySelection:
     """Dedup up to isomorphism, then spread by greedy max-min Hamming.
 
@@ -322,7 +321,7 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int,
     orders = {g.n for g in graphs}
     if len(orders) != 1:
         raise ValueError("diversity enhancement needs equal orders")
-    representatives = deduplicate(graphs, limit=canonical_limit)
+    representatives = deduplicate(graphs)
     reference = complete(next(iter(orders)))
 
     chosen: list[Graph] = []

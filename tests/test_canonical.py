@@ -1,21 +1,48 @@
 """Canonical labeling, isomorphism checks, and deduplication."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isotough
 from isotough.canonical import (
     are_isomorphic,
     canonical_code,
     canonical_form,
     canonical_graph,
     deduplicate,
-    to_networkx,
 )
-from isotough.graphs import Graph, complete, from_edges, pair_count, star
+from isotough.graphs import Graph, complete, counterexample_family, \
+    edge_index, empty_graph, from_edges, pair_count, star
+
+
+def to_networkx(g):
+    """The test-only bridge to networkx's VF2 isomorphism check."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def complete_bipartite(a, b):
+    return from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def random_graph(rng, n, p):
+    return from_edges(n, [pair for pair in itertools.combinations(range(n), 2)
+                          if rng.random() < p])
+
+
+def shuffled(g, rng):
+    return relabel(g, [int(v) for v in rng.permutation(g.n)])
 
 
 def relabel(g, perm):
@@ -80,6 +107,26 @@ def test_hundred_relabelings_of_one_graph(seeded_rng):
         assert canonical_code(relabel(g, [int(p) for p in perm])) == expected
 
 
+def union_of_cycles(lengths, isolated=0):
+    edges, base = [], 0
+    for length in lengths:
+        edges += [(base + i, base + (i + 1) % length) for i in range(length)]
+        base += length
+    return from_edges(base + isolated, edges)
+
+
+@pytest.mark.parametrize("lengths,isolated", [
+    ((3, 4), 0), ((3, 3, 4), 1), ((3, 3, 4), 3), ((3, 4, 4, 5), 0)])
+def test_unions_of_cycles_are_relabeling_invariant(lengths, isolated,
+                                                   seeded_rng):
+    # Automorphisms found in one branch move the prefix of another here,
+    # so these catch orbit pruning that ignores which prefix is fixed.
+    g = union_of_cycles(lengths, isolated)
+    expected = canonical_code(g)
+    for _ in range(20):
+        assert canonical_code(shuffled(g, seeded_rng)) == expected
+
+
 def test_canonical_graph_is_fixed_point():
     g = from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3)])
     canon = canonical_graph(g)
@@ -87,12 +134,38 @@ def test_canonical_graph_is_fixed_point():
     assert are_isomorphic(g, canon)
 
 
-def test_canonical_form_exactness_flag():
-    small = canonical_form(complete(5))
-    assert small.exact
-    big = canonical_form(Graph(17, 0), limit=16)
-    assert not big.exact
-    assert big.key != canonical_form(complete(5)).key
+def test_canonical_form_key_is_order_and_canonical_bits():
+    small = complete(5)
+    assert canonical_form(small).key == f"5:{canonical_graph(small).bits()}"
+    big = canonical_form(empty_graph(17))
+    assert big.key == "17:" + "0" * pair_count(17)
+    assert big.key != canonical_form(small).key
+
+
+# ----- above order 16 -------------------------------------------------------
+
+SYMMETRIC_ABOVE_16 = {
+    "K9,9": complete_bipartite(9, 9),
+    "empty 18": empty_graph(18),
+    "counterexample(3,3)": counterexample_family(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_ABOVE_16))
+def test_symmetric_relabelings_above_16_share_codes(name, seeded_rng):
+    g = SYMMETRIC_ABOVE_16[name]
+    twins = [shuffled(g, seeded_rng) for _ in range(3)]
+    assert {canonical_code(h) for h in twins} == {canonical_code(g)}
+    assert len(deduplicate([g] + twins)) == 1
+
+
+def test_random_relabelings_above_16_share_codes(seeded_rng):
+    for n in (17, 20, 24, 32):
+        g = random_graph(seeded_rng, n, seeded_rng.uniform(0.2, 0.8))
+        twins = [shuffled(g, seeded_rng) for _ in range(3)]
+        assert {canonical_code(h) for h in twins} == {canonical_code(g)}
+        assert deduplicate([g] + twins) == [min([g] + twins,
+                                                key=lambda h: h.bits())]
 
 
 # ----- agreement with networkx ----------------------------------------------
@@ -102,6 +175,28 @@ def test_canonical_form_exactness_flag():
 def test_are_isomorphic_agrees_with_vf2(g1, g2):
     expected = nx.is_isomorphic(to_networkx(g1), to_networkx(g2))
     assert are_isomorphic(g1, g2) == expected
+
+
+def test_codes_agree_with_vf2_at_orders_17_to_20(seeded_rng):
+    """Relabeled twins must match; one-edge flips and moves are near misses."""
+    for n in range(17, 21):
+        for _ in range(3):
+            g = random_graph(seeded_rng, n, seeded_rng.uniform(0.2, 0.8))
+            u, v = map(int, seeded_rng.choice(n, 2, replace=False))
+            flipped = Graph(n, g.code ^ (1 << edge_index(u, v, n)))
+            edges, non_edges = [], []
+            for pair in itertools.combinations(range(n), 2):
+                (edges if g.has_edge(*pair) else non_edges).append(pair)
+            gone = edges[int(seeded_rng.integers(len(edges)))]
+            added = non_edges[int(seeded_rng.integers(len(non_edges)))]
+            moved = from_edges(n, [e for e in edges if e != gone] + [added])
+            base = canonical_code(g)
+            for other in (shuffled(g, seeded_rng), flipped, moved,
+                          shuffled(moved, seeded_rng)):
+                expected = nx.is_isomorphic(to_networkx(g),
+                                            to_networkx(other))
+                assert (canonical_code(other) == base) == expected
+                assert are_isomorphic(g, other) == expected
 
 
 def test_to_networkx_carries_all_vertices_and_edges():
@@ -130,11 +225,11 @@ def test_deduplicate_keeps_smallest_bits_and_first_seen_order():
     assert kept[1] == min((claw, relabeled_claw), key=lambda g: g.bits())
 
 
-def test_deduplicate_above_limit_uses_pairwise_checks():
-    g = Graph(18, 0)
+def test_deduplicate_separates_near_misses_above_16():
+    g = empty_graph(18)
     h = from_edges(18, [(0, 1)])
-    kept = deduplicate([g, h, g], limit=16)
-    assert len(kept) == 2
+    twin = from_edges(18, [(5, 9)])
+    assert deduplicate([g, h, g, twin]) == [g, twin]  # smaller bits win
 
 
 @given(st.lists(graphs(4, 5), min_size=1, max_size=8))
@@ -153,3 +248,28 @@ def test_deduplicate_output_is_pairwise_nonisomorphic(batch):
 def seeded_rng():
     import numpy as np
     return np.random.Generator(np.random.PCG64(12345))
+
+
+def test_runtime_needs_no_networkx(tmp_path):
+    """Dedup above order 16 and a short solve run with networkx unimportable."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["networkx"] = None
+        import isotough
+        from isotough.cli import main
+        twins = [isotough.empty_graph(18),
+                 isotough.from_edges(18, [(0, 1)]),
+                 isotough.from_edges(18, [(16, 17)])]
+        assert len(isotough.deduplicate(twins)) == 2
+        sys.exit(main(["solve", "--n", "7", "--k", "2", "--generations",
+                       "5", "--seed", "2", "--out", sys.argv[1]]))
+    """)
+    src = str(Path(isotough.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "selected-0.json").exists()
