@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import MAX_ORDER, Graph
 
@@ -161,18 +161,21 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return canonical_code(g1) == canonical_code(g2)
 
 
-def deduplicate(graphs: Iterable[Graph]) -> list[Graph]:
+def deduplicate(graphs: Iterable[Graph],
+                key: Optional[Callable[[Graph], str]] = None) -> list[Graph]:
     """One representative per isomorphism class, smallest bit string wins.
 
-    Output is ordered by first appearance of each class.
+    Output is ordered by first appearance of each class.  `key` must give
+    equal strings exactly for isomorphic graphs; it defaults to
+    `canonical_form(g).key` and lets a caller reuse keys it already holds.
     """
     reps: list[Graph] = []
     index: dict[str, int] = {}
     for g in graphs:
-        key = canonical_form(g).key
-        at = index.get(key)
+        class_key = canonical_form(g).key if key is None else key(g)
+        at = index.get(class_key)
         if at is None:
-            index[key] = len(reps)
+            index[class_key] = len(reps)
             reps.append(g)
         elif g.bits() < reps[at].bits():
             reps[at] = g

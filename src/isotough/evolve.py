@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -298,7 +298,8 @@ def run_solver(config: SolverConfig,
 
     if archive:
         diversified = diversity_enhancement([r.graph for r in archive],
-                                            config.population_size)
+                                            config.population_size,
+                                            key=canonical_key)
     else:
         diversified = DiversitySelection(selected=(), steps=())
     timings = {"total_s": time.perf_counter() - started}
@@ -307,13 +308,15 @@ def run_solver(config: SolverConfig,
                      diversified=diversified, timings=timings)
 
 
-def diversity_enhancement(graphs: Sequence[Graph], limit: int
+def diversity_enhancement(graphs: Sequence[Graph], limit: int,
+                          key: Optional[Callable[[Graph], str]] = None
                           ) -> DiversitySelection:
     """Dedup up to isomorphism, then spread by greedy max-min Hamming.
 
     The first pick maximizes distance from the complete graph; each later
     pick maximizes the minimum distance to everything already chosen.
-    Ties always go to the lexicographically smallest bit string.
+    Ties always go to the lexicographically smallest bit string.  `key` is
+    passed on to `deduplicate`.
     """
     if not graphs:
         raise EmptyArchiveError("diversity enhancement needs a non-empty"
@@ -321,7 +324,7 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int
     orders = {g.n for g in graphs}
     if len(orders) != 1:
         raise ValueError("diversity enhancement needs equal orders")
-    representatives = deduplicate(graphs)
+    representatives = deduplicate(graphs, key=key)
     reference = complete(next(iter(orders)))
 
     chosen: list[Graph] = []

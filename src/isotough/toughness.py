@@ -5,10 +5,16 @@ deletion leaves at least two isolated vertices; the plain parameter divides
 by i(G-S), the variant by i(G-S) - 1.  Complete graphs have no qualifying
 S, so both parameters are INFINITY there.
 
-The exact engine scans every subset bitmask in fixed-size chunks with
-numpy.  Ratios are compared as scaled integers (|S| multiplied by
-lcm(1..24) over the denominator), so all comparisons are exact and every
-global minimizer is collected.
+The exact engine searches independent sets J rather than deletion sets:
+the vertices that deleting S isolates form an independent J with N(J)
+inside S, so the minimum is min |N(J)| / f(|J|) over independent J with
+|J| >= 2, and every minimizer is N(J) for an optimal closed J (the
+isolated set of G - N(J) is J itself).  A depth-first search grows J in
+vertex order over bitmasks and cuts a branch when its best reachable
+ratio, |N(J)| over |J| + |candidates|, is strictly above the best found
+(so ties survive), or when a passed-over vertex outside N(J) has its
+whole neighbourhood in N(J), which leaves no closed extension.  Ratios
+are compared by integer cross-multiplication.
 
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
@@ -18,32 +24,15 @@ always an upper bound on the exact variant value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, isolated_count
 from .rational import INFINITY, Ratio
 
 DEFAULT_EXACT_LIMIT = 24
-_SCAN_CHUNK = 1 << 20
-
-# lcm of every denominator that can appear up to the order limit
-_LCM = math.lcm(*range(1, DEFAULT_EXACT_LIMIT + 1))
-
-def _popcount_table() -> np.ndarray:
-    bits = np.arange(1 << 16, dtype=np.int64)
-    bits = (bits & 0x5555) + ((bits >> 1) & 0x5555)
-    bits = (bits & 0x3333) + ((bits >> 2) & 0x3333)
-    bits = (bits & 0x0F0F) + ((bits >> 4) & 0x0F0F)
-    return (bits & 0x00FF) + ((bits >> 8) & 0x00FF)
-
-
-_POPCOUNT16 = _popcount_table()
 
 
 @dataclass(frozen=True)
@@ -53,8 +42,8 @@ class ToughnessResult:
     witness_i: tuple[int, ...]
 
 
-def _subset_scan(g: Graph, variant: bool, limit: int,
-                 chunk: int = _SCAN_CHUNK) -> ToughnessResult:
+def _independent_set_search(g: Graph, variant: bool,
+                            limit: int) -> ToughnessResult:
     n = g.n
     if n < 1:
         raise ValueError("toughness needs at least one vertex")
@@ -65,60 +54,68 @@ def _subset_scan(g: Graph, variant: bool, limit: int,
     if g.is_complete():
         return ToughnessResult(INFINITY, (), ())
 
-    adj = np.array(g.adjacency, dtype=np.int64)
-    # raising the limit past the default needs a wider common denominator
-    scale = _LCM if n <= DEFAULT_EXACT_LIMIT \
-        else math.lcm(*range(1, n + 1))
-    lut = np.ones(n + 1, dtype=np.int64)
-    for i in range(2, n + 1):
-        lut[i] = scale // (i - 1 if variant else i)
+    adj = g.adjacency
+    shift = 1 if variant else 0
+    best_num, best_den = -1, 0  # -1/0 stands for INFINITY
+    best_masks: set[int] = set()
 
-    best_scaled: Optional[int] = None
-    best_masks: list[int] = []
-    total = 1 << n
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        iso = np.zeros(len(masks), dtype=np.int16)
-        for v in range(n):
-            outside = ((masks >> v) & 1) == 0
-            covered = (adj[v] & masks) == adj[v]
-            iso += outside & covered
-        qualifies = iso >= 2
-        if not qualifies.any():
-            continue
-        masks_q = masks[qualifies]
-        sizes = _POPCOUNT16[masks_q & 0xFFFF] + _POPCOUNT16[masks_q >> 16]
-        scaled = sizes * lut[iso[qualifies]]
-        low = int(scaled.min())
-        if best_scaled is None or low < best_scaled:
-            best_scaled = low
-            best_masks = [int(m) for m in masks_q[scaled == low]]
-        elif low == best_scaled:
-            best_masks.extend(int(m) for m in masks_q[scaled == low])
+    def visit(size: int, nbrs: int, cand: int, skipped: int) -> None:
+        # J has `size` vertices and neighbourhood `nbrs`; `cand` holds the
+        # later vertices J may still take, `skipped` the passed-over ones
+        nonlocal best_num, best_den
+        covered = nbrs.bit_count()
+        if size >= 2:
+            den = size - shift
+            if best_num < 0 or covered * best_den < best_num * den:
+                best_num, best_den = covered, den
+                best_masks.clear()
+                best_masks.add(nbrs)
+            elif covered * best_den == best_num * den:
+                best_masks.add(nbrs)
+        while cand:
+            top = size + cand.bit_count()  # largest |J| left on this branch
+            if top < 2 or (best_num >= 0
+                           and covered * best_den > best_num * (top - shift)):
+                return  # bound cut
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            grown = nbrs | adj[v]
+            left = skipped & ~adj[v]
+            rest = left
+            while rest:  # closure cut for J + v
+                bit = rest & -rest
+                if adj[bit.bit_length() - 1] & ~grown == 0:
+                    break
+                rest ^= bit
+            else:
+                visit(size + 1, grown, cand & ~adj[v], left)
+            if adj[v] & ~nbrs == 0:
+                return  # closure cut: v is skipped from here on
+            skipped |= low
 
-    if best_scaled is None:
+    visit(0, 0, (1 << n) - 1, 0)
+    if best_num < 0:
         return ToughnessResult(INFINITY, (), ())
-    value = Fraction(best_scaled, scale)
+    masks = sorted(best_masks)
     minimizers = tuple(tuple(v for v in range(n) if (mask >> v) & 1)
-                       for mask in best_masks)
-    from .graphs import isolated_count
-    witness = tuple(isolated_count(g, mask) for mask in best_masks)
-    return ToughnessResult(value, minimizers, witness)
+                       for mask in masks)
+    witness = tuple(isolated_count(g, mask) for mask in masks)
+    return ToughnessResult(Fraction(best_num, best_den), minimizers, witness)
 
 
 def exact_isolated_toughness(g: Graph, *,
-                             limit: int = DEFAULT_EXACT_LIMIT,
-                             chunk: int = _SCAN_CHUNK) -> ToughnessResult:
+                             limit: int = DEFAULT_EXACT_LIMIT
+                             ) -> ToughnessResult:
     """min |S| / i(G-S) over S with i(G-S) >= 2, with all minimizers."""
-    return _subset_scan(g, variant=False, limit=limit, chunk=chunk)
+    return _independent_set_search(g, variant=False, limit=limit)
 
 
 def exact_isolated_toughness_variant(g: Graph, *,
-                                     limit: int = DEFAULT_EXACT_LIMIT,
-                                     chunk: int = _SCAN_CHUNK
+                                     limit: int = DEFAULT_EXACT_LIMIT
                                      ) -> ToughnessResult:
     """min |S| / (i(G-S) - 1) over S with i(G-S) >= 2."""
-    return _subset_scan(g, variant=True, limit=limit, chunk=chunk)
+    return _independent_set_search(g, variant=True, limit=limit)
 
 
 def roulette_select(degrees: Sequence[int], p: float) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isotough import canonical, evolve
 from isotough.canonical import are_isomorphic
 from isotough.errors import EmptyArchiveError, ScopeError
 from isotough.evolve import (
@@ -203,6 +204,26 @@ def test_unverified_stream_when_order_above_limit():
     assert not result.archive  # nothing can be exact-verified
     for record in result.unverified:
         assert not record.verified
+
+
+def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
+    # the harvest tie-break and diversification share one key per code
+    real = canonical.canonical_form
+    seen = []
+
+    def counting(g):
+        seen.append(g.code)
+        return real(g)
+
+    monkeypatch.setattr(evolve, "canonical_form", counting)
+    monkeypatch.setattr(canonical, "canonical_form", counting)
+    config = SolverConfig(n=7, k=2, generations=30, seed=42)
+    result = run_solver(config)
+    assert result.diversified.selected
+    assert len(seen) == len(set(seen))
+    assert {r.graph.code for r in result.archive} <= set(seen)
+    assert result.diversified == diversity_enhancement(
+        [r.graph for r in result.archive], config.population_size)
 
 
 # ----- diversity enhancement ------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact toughness values, minimizers, roulette selection, pseudo-greedy."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +15,16 @@ from isotough.graphs import (
     clique_join_singles,
     complete,
     counterexample_family,
+    disjoint_cliques,
     empty_graph,
     extremal_family,
     from_bits,
+    from_edges,
     isolated_count,
+    join,
     pair_count,
     star,
+    vertex_mask,
 )
 from isotough.rational import INFINITY
 from isotough.toughness import (
@@ -47,6 +52,19 @@ def brute_force(g, variant):
             elif ratio == best:
                 minimizers.append(subset)
     return best, minimizers
+
+
+def expected_result(g, variant):
+    """The engine's contract, from brute_force: value, minimizers in
+    ascending bitmask order, and the isolated count of each minimizer."""
+    value, subsets = brute_force(g, variant)
+    subsets = sorted(subsets, key=lambda s: vertex_mask(s, g.n))
+    return (value, tuple(subsets),
+            tuple(isolated_count(g, s) for s in subsets))
+
+
+def as_tuple(outcome):
+    return outcome.value, outcome.minimizers, outcome.witness_i
 
 
 def graphs(n_min=2, n_max=8):
@@ -115,17 +133,45 @@ def test_counterexample_family_sits_on_the_bound():
 
 
 def test_empty_graph_value_zero():
-    outcome = exact_isolated_toughness_variant(empty_graph(3))
-    assert outcome.value == 0
-    assert outcome.minimizers == ((),)
-    assert outcome.witness_i == (3,)
-    assert exact_isolated_toughness(empty_graph(3)).value == 0
+    for n in (3, 24):
+        for compute in (exact_isolated_toughness,
+                        exact_isolated_toughness_variant):
+            outcome = compute(empty_graph(n))
+            assert outcome.value == 0
+            assert outcome.minimizers == ((),)
+            assert outcome.witness_i == (n,)
 
 
 def test_worked_example_values():
     g = from_bits(5, WORKED_BITS)
     assert exact_isolated_toughness(g).value == Fraction(3, 2)
     assert exact_isolated_toughness_variant(g).value == Fraction(3)
+
+
+def test_cycle_on_24_vertices():
+    outcome = exact_isolated_toughness_variant(
+        from_edges(24, [(v, (v + 1) % 24) for v in range(24)]))
+    assert outcome.value == Fraction(12, 11)
+    assert outcome.minimizers == (tuple(range(0, 24, 2)),
+                                  tuple(range(1, 24, 2)))
+    assert outcome.witness_i == (12, 12)
+
+
+def test_perfect_matching_on_24_vertices():
+    # one endpoint of every edge is deleted: 2^12 minimizers
+    outcome = exact_isolated_toughness_variant(disjoint_cliques(12, 2))
+    assert outcome.value == Fraction(12, 11)
+    assert len(outcome.minimizers) == 1 << 12
+    assert len(set(outcome.minimizers)) == 1 << 12
+    assert outcome.witness_i == (12,) * (1 << 12)
+
+
+def test_complete_bipartite_past_order_32():
+    g = join(empty_graph(17), empty_graph(17))
+    outcome = exact_isolated_toughness_variant(g, limit=34)
+    assert outcome.value == Fraction(17, 16)
+    assert outcome.minimizers == (tuple(range(17)), tuple(range(17, 34)))
+    assert outcome.witness_i == (17, 17)
 
 
 def test_exact_order_gate():
@@ -136,15 +182,23 @@ def test_exact_order_gate():
 
 # ----- minimizer contracts --------------------------------------------------
 
-@given(graphs(2, 7))
+@given(graphs(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_exact_matches_brute_force(g):
     for variant, compute in ((False, exact_isolated_toughness),
                              (True, exact_isolated_toughness_variant)):
-        expected_value, expected_sets = brute_force(g, variant)
-        outcome = compute(g)
-        assert outcome.value == expected_value
-        assert sorted(outcome.minimizers) == sorted(expected_sets)
+        assert as_tuple(compute(g)) == expected_result(g, variant)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_exact_matches_brute_force_on_seeded_graphs(n):
+    rng = random.Random(n)
+    for p in (0.15, 0.3, 0.7, 0.9):
+        code = sum(1 << b for b in range(pair_count(n)) if rng.random() < p)
+        g = Graph(n, code)
+        for variant, compute in ((False, exact_isolated_toughness),
+                                 (True, exact_isolated_toughness_variant)):
+            assert as_tuple(compute(g)) == expected_result(g, variant)
 
 
 @given(graphs(2, 8))
