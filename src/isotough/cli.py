@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 usage or input errors, 2 capacity refusals,
 3 empty result archive, 4 internal consistency failures.
 
 All file outputs are deterministic for identical flags, byte for byte,
-regardless of thread count.  Wall-clock timings therefore go to stdout
+whatever the output directory.  Wall-clock timings therefore go to stdout
 only, never into files; the manifest keeps a null timings slot.
 """
 
@@ -122,8 +122,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         mutation_rate=args.mutation_rate,
         counterexample_fraction=args.counterexample_fraction,
         seed=args.seed, scope=scope,
-        exact_verify_limit=args.exact_verify_limit,
-        threads=args.threads)
+        exact_verify_limit=args.exact_verify_limit)
     result = run_solver(config)
     summary = report(result)
 
@@ -177,7 +176,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     scope = tuple(args.scope) if args.scope else None
     outcome = enumerate_exact(args.sites, args.capacity, scope,
-                              force=args.force, threads=args.threads)
+                              force=args.force)
     print(f"scope {outcome.scope[0]}..{outcome.scope[1]}")
     print(f"scanned {outcome.total_scanned} encodings")
     for delta in range(outcome.scope[0], outcome.scope[1] + 1):
@@ -288,8 +287,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     outcome = benchmark(args.sites, args.capacity, runs=args.runs,
-                        seed=args.seed, force=args.force,
-                        threads=args.threads)
+                        seed=args.seed, force=args.force)
     print(f"machine: {outcome.machine}")
     print(f"runs: {outcome.runs}")
     print("delta  solver  enumeration  agree")
@@ -340,7 +338,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--seed", type=int, default=42)
     solve.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
     solve.add_argument("--exact-verify-limit", type=int, default=16)
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--out", required=True,
                        help="directory for result files")
     solve.set_defaults(handler=_cmd_solve)
@@ -359,7 +356,6 @@ def build_parser() -> _Parser:
     enum.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
     enum.add_argument("--force", action="store_true",
                       help="enumerate past the default order limit")
-    enum.add_argument("--threads", type=int, default=1)
     enum.set_defaults(handler=_cmd_enumerate)
 
     family = commands.add_parser("family",
@@ -416,7 +412,6 @@ def build_parser() -> _Parser:
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--force", action="store_true")
-    bench.add_argument("--threads", type=int, default=1)
     bench.set_defaults(handler=_cmd_benchmark)
 
     scope = commands.add_parser(

@@ -8,14 +8,13 @@ random non-self pairing, single-point crossover and per-bit mutation, with
 one elite surviving unchanged.
 
 All randomness is derived from the master seed through per-purpose
-SeedSequence spawn keys (phase, generation, index), so results do not
-depend on evaluation parallelism.
+SeedSequence spawn keys (phase, generation, index), so each individual's
+draws do not depend on the order in which the population is evaluated.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -47,7 +46,6 @@ class SolverConfig:
     seed: int = DEFAULT_SEED
     scope: Optional[tuple[int, int]] = None
     exact_verify_limit: int = DEFAULT_EXACT_VERIFY_LIMIT
-    threads: int = 1
 
     def __post_init__(self):
         if self.n < 4:
@@ -62,8 +60,6 @@ class SolverConfig:
             raise ValueError("mutation rate must lie in (0, 1)")
         if not 0.0 < self.counterexample_fraction < 1.0:
             raise ValueError("counterexample fraction must lie in (0, 1)")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -120,15 +116,19 @@ def flip_bits(g: Graph, mask: int) -> Graph:
     return Graph(g.n, g.code ^ mask)
 
 
+def _bernoulli_mask(rng: np.random.Generator, length: int,
+                    rate: float) -> int:
+    """Bit p set when the p-th of `length` uniform draws is below rate."""
+    hits = rng.random(length) < rate
+    return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(),
+                          "little")
+
+
 def binary_mutation(g: Graph, rate: float, rng: np.random.Generator) -> Graph:
     """Flip each encoded bit independently with the given probability."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
-    draws = rng.random(pair_count(g.n))
-    mask = 0
-    for position in np.flatnonzero(draws < rate):
-        mask |= 1 << int(position)
-    return flip_bits(g, mask)
+    return flip_bits(g, _bernoulli_mask(rng, pair_count(g.n), rate))
 
 
 def single_point_crossover(g1: Graph, g2: Graph, rng: np.random.Generator
@@ -171,25 +171,17 @@ def initial_population(config: SolverConfig) -> list[Graph]:
             population.append(
                 binary_mutation(base, config.mutation_rate, rng))
         else:
-            draws = rng.random(length)
-            code = 0
-            for position in np.flatnonzero(draws < 0.5):
-                code |= 1 << int(position)
-            population.append(Graph(config.n, code))
+            population.append(
+                Graph(config.n, _bernoulli_mask(rng, length, 0.5)))
     return population
 
 
 def _screen(population: Sequence[Graph], config: SolverConfig,
             generation: int) -> list[Ratio]:
-    tasks = [(g, _stream(config.seed, _PHASE_EVAL, generation, index))
-             for index, g in enumerate(population)]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            estimates = list(pool.map(
-                lambda pair: pseudo_greedy_estimate(*pair).estimate, tasks))
-    else:
-        estimates = [pseudo_greedy_estimate(g, rng).estimate
-                     for g, rng in tasks]
+    estimates = []
+    for index, g in enumerate(population):
+        rng = _stream(config.seed, _PHASE_EVAL, generation, index)
+        estimates.append(pseudo_greedy_estimate(g, rng).estimate)
     return estimates
 
 

@@ -71,15 +71,23 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
-        """Neighbor bitmask per vertex."""
-        masks = [0] * self.n
-        position = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.code >> position) & 1:
-                    masks[u] |= 1 << v
-                    masks[v] |= 1 << u
-                position += 1
+        """Neighbor bitmask per vertex.
+
+        Row u of the encoding is one slice of n-1-u bits whose bit i is
+        the pair (u, u+1+i); only its set bits are walked for back edges.
+        """
+        n, code = self.n, int(self.code)  # callers may pass numpy ints
+        masks = [0] * n
+        start = 0
+        for u in range(n):
+            width = n - 1 - u
+            row = (code >> start) & ((1 << width) - 1)
+            start += width
+            masks[u] |= row << (u + 1)
+            while row:
+                low = row & -row
+                masks[u + low.bit_length()] |= 1 << u
+                row ^= low
         return tuple(masks)
 
     @cached_property

@@ -4,8 +4,8 @@ enumerate_exact scans every adjacency encoding at a given order, computes
 minimum degree and the exact variant toughness for each, and records the
 per-degree minimum that strictly clears the acceptance bound, together
 with a witness.  The scan runs on numpy over fixed-size encoding chunks
-whose partial results merge associatively, so chunking and threading never
-change the outcome.
+whose partial results merge associatively, so chunking never changes the
+outcome.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters over all isomorphism classes up to order 7 (random
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -103,8 +102,8 @@ def _scan_chunk(start: int, stop: int, n: int, k: int,
 
 def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
                     *, limit: int = DEFAULT_ENUMERATION_LIMIT,
-                    force: bool = False, chunk: int = _CHUNK,
-                    threads: int = 1) -> EnumerationResult:
+                    force: bool = False, chunk: int = _CHUNK
+                    ) -> EnumerationResult:
     """Exhaustive per-degree optima over every encoding of order n."""
     if n < 2:
         raise ValueError("enumeration needs order n >= 2")
@@ -142,20 +141,10 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
     lcm = math.lcm(*range(1, n + 1))
     sentinel = (n + 1) * lcm  # larger than any finite scaled ratio
     total = 1 << pair_count(n)
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-    def work(span: tuple[int, int]) -> dict[int, tuple[int, int]]:
-        return _scan_chunk(span[0], span[1], n, k, scope, position,
-                           subset_masks, lcm, sentinel)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(work, ranges))
-    else:
-        partials = [work(span) for span in ranges]
-
     merged: dict[int, tuple[int, int]] = {}
-    for partial in partials:
+    for start in range(0, total, chunk):
+        partial = _scan_chunk(start, min(start + chunk, total), n, k, scope,
+                              position, subset_masks, lcm, sentinel)
         for d, (value, witness) in partial.items():
             if d not in merged or (value, witness) < merged[d]:
                 merged[d] = (value, witness)
@@ -288,11 +277,11 @@ class BenchmarkReport:
 
 def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
               config: Optional[SolverConfig] = None,
-              force: bool = False, threads: int = 1) -> BenchmarkReport:
+              force: bool = False) -> BenchmarkReport:
     """Solver quality and runtime against the exhaustive enumeration."""
     if runs < 1:
         raise ValueError("need at least one run")
-    enumeration = enumerate_exact(n, k, force=force, threads=threads)
+    enumeration = enumerate_exact(n, k, force=force)
     scope = enumeration.scope
 
     solver_best: dict[int, Optional[Ratio]] = {d: None
@@ -301,8 +290,7 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
     total_solver = 0.0
     for at in range(runs):
         if config is None:
-            run_config = SolverConfig(n=n, k=k, seed=seed + at,
-                                      threads=threads)
+            run_config = SolverConfig(n=n, k=k, seed=seed + at)
         else:
             run_config = SolverConfig(
                 n=n, k=k, population_size=config.population_size,
@@ -310,8 +298,7 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
                 mutation_rate=config.mutation_rate,
                 counterexample_fraction=config.counterexample_fraction,
                 seed=seed + at, scope=config.scope,
-                exact_verify_limit=config.exact_verify_limit,
-                threads=threads)
+                exact_verify_limit=config.exact_verify_limit)
         result = run_solver(run_config)
         total_solver += result.timings["total_s"]
         for delta, value in report(result).optima.items():

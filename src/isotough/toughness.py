@@ -19,14 +19,21 @@ are compared by integer cross-multiplication.
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
 whenever a deletion leaves at least two isolated vertices.  Its result is
-always an upper bound on the exact variant value.
+always an upper bound on the exact variant value.  Each track keeps its
+isolated count and degree total up to date as it deletes, so a step walks
+only the deleted vertex's remaining neighbours; the picks are C-level
+max/index and accumulate/bisect calls over the degree list.  Only the
+best ratio, its deletion sequence and the reset count are kept, no
+per-step records.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import CapacityError
 from .graphs import Graph, isolated_count
@@ -126,85 +133,80 @@ def roulette_select(degrees: Sequence[int], p: float) -> int:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
-    total = sum(degrees)
+    if degrees and min(degrees) < 0:
+        first = next(j for j, d in enumerate(degrees) if d < 0)
+        raise ValueError(f"negative degree at {first}")
+    cumulative = list(accumulate(degrees))
+    total = cumulative[-1] if cumulative else 0
     if total <= 0:
         raise ValueError("no selectable vertex: all degrees are zero")
-    target = p * total
-    acc = 0
-    last_positive = -1
-    for j, d in enumerate(degrees):
-        if d < 0:
-            raise ValueError(f"negative degree at {j}")
-        if d > 0:
-            last_positive = j
-        acc += d
-        if target < acc:
-            return j
-    return last_positive  # float rounding pushed target to the top edge
-
-
-@dataclass(frozen=True)
-class PseudoGreedyStep:
-    step: int
-    roulette_deleted: int
-    maxdeg_deleted: int
-    roulette_isolated: int
-    maxdeg_isolated: int
-    roulette_ratio: Optional[Fraction]
-    maxdeg_ratio: Optional[Fraction]
-    reset: bool
+    j = bisect_right(cumulative, p * total)  # first j with target < acc
+    if j < len(cumulative):
+        return j
+    # float rounding pushed the target to the top edge: the last positive
+    return bisect_left(cumulative, total)
 
 
 @dataclass(frozen=True)
 class PseudoGreedyTrace:
     estimate: Ratio
     deletion_sequence: tuple[int, ...]
-    steps: tuple[PseudoGreedyStep, ...] = ()
     resets: int = 0
     delegated: bool = False
 
 
 class _Track:
-    __slots__ = ("remaining", "deg", "deleted", "adjacency")
+    """One deletion track; `isolated` and `total` (the degree sum) are
+    kept up to date by `delete`."""
+
+    __slots__ = ("remaining", "deg", "deleted", "adjacency", "isolated",
+                 "total")
 
     def __init__(self, g: Graph):
         self.remaining = (1 << g.n) - 1
         self.deg = list(g.degrees)
         self.deleted: list[int] = []
         self.adjacency = g.adjacency
+        self.isolated = self.deg.count(0)
+        self.total = sum(self.deg)
 
     def clone_from(self, other: "_Track") -> None:
         self.remaining = other.remaining
-        self.deg = list(other.deg)
-        self.deleted = list(other.deleted)
+        self.deg = other.deg.copy()
+        self.deleted = other.deleted.copy()
+        self.isolated = other.isolated
+        self.total = other.total
 
     def delete(self, v: int) -> None:
-        mask = self.adjacency[v] & self.remaining
-        while mask:
-            low = mask & -mask
-            self.deg[low.bit_length() - 1] -= 1
-            mask ^= low
+        deg = self.deg
+        if deg[v]:
+            mask = self.adjacency[v] & self.remaining
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                deg[u] -= 1
+                if not deg[u]:
+                    self.isolated += 1
+                mask ^= low
+            self.total -= 2 * deg[v]
+            deg[v] = 0
+        else:
+            self.isolated -= 1
         self.remaining &= ~(1 << v)
-        self.deg[v] = 0
         self.deleted.append(v)
 
-    def isolated(self) -> int:
-        remaining = self.remaining
-        return sum(1 for v, d in enumerate(self.deg)
-                   if d == 0 and (remaining >> v) & 1)
-
-    def pick_roulette(self, rng) -> int:
-        if sum(self.deg) > 0:
-            return roulette_select(self.deg, rng.random())
+    def lowest_remaining(self) -> int:
         return (self.remaining & -self.remaining).bit_length() - 1
 
+    def pick_roulette(self, rng) -> int:
+        if self.total:
+            return roulette_select(self.deg, rng.random())
+        return self.lowest_remaining()
+
     def pick_max_degree(self) -> int:
-        best_v, best_d = -1, -1
-        remaining = self.remaining
-        for v, d in enumerate(self.deg):
-            if (remaining >> v) & 1 and d > best_d:
-                best_v, best_d = v, d
-        return best_v
+        # deleted vertices hold degree 0, so a positive maximum is remaining
+        top = max(self.deg)
+        return self.deg.index(top) if top else self.lowest_remaining()
 
 
 def pseudo_greedy_estimate(g: Graph, rng) -> PseudoGreedyTrace:
@@ -226,7 +228,6 @@ def pseudo_greedy_estimate(g: Graph, rng) -> PseudoGreedyTrace:
     track_m = _Track(g)
     best_num, best_den = -1, 0  # -1/0 stands for INFINITY
     best_sequence: tuple[int, ...] = ()
-    steps: list[PseudoGreedyStep] = []
     resets = 0
 
     def better(step: int, iso: int) -> bool:
@@ -236,35 +237,23 @@ def pseudo_greedy_estimate(g: Graph, rng) -> PseudoGreedyTrace:
         return step * best_den < best_num * (iso - 1)
 
     for step in range(1, n - 2):
-        v_r = track_r.pick_roulette(rng)
-        v_m = track_m.pick_max_degree()
-        track_r.delete(v_r)
-        track_m.delete(v_m)
-        iso_r = track_r.isolated()
-        iso_m = track_m.isolated()
+        track_r.delete(track_r.pick_roulette(rng))
+        track_m.delete(track_m.pick_max_degree())
 
-        ratio_r = Fraction(step, iso_r - 1) if iso_r >= 2 else None
-        reset = False
+        iso_r = track_r.isolated
         if iso_r >= 2 and better(step, iso_r):
             best_num, best_den = step, iso_r - 1
             best_sequence = tuple(track_r.deleted)
         else:
-            reset = True
             resets += 1
             track_r.clone_from(track_m)
 
-        ratio_m = Fraction(step, iso_m - 1) if iso_m >= 2 else None
+        iso_m = track_m.isolated
         if iso_m >= 2 and better(step, iso_m):
             best_num, best_den = step, iso_m - 1
             best_sequence = tuple(track_m.deleted)
 
-        steps.append(PseudoGreedyStep(
-            step=step, roulette_deleted=v_r, maxdeg_deleted=v_m,
-            roulette_isolated=iso_r, maxdeg_isolated=iso_m,
-            roulette_ratio=ratio_r, maxdeg_ratio=ratio_m, reset=reset))
-
     estimate: Ratio = INFINITY if best_num < 0 else Fraction(best_num,
                                                              best_den)
     return PseudoGreedyTrace(estimate=estimate,
-                             deletion_sequence=best_sequence,
-                             steps=tuple(steps), resets=resets)
+                             deletion_sequence=best_sequence, resets=resets)

@@ -1,5 +1,7 @@
 """Evolutionary solver: operators, generation loop, diversity, reporting."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,46 @@ def test_initial_population_is_deterministic():
     assert initial_population(config) == initial_population(config)
 
 
+def mask_by_bits(draws, rate):
+    """Bit p set when draws[p] < rate, one bit at a time."""
+    mask = 0
+    for position in np.flatnonzero(draws < rate):
+        mask |= 1 << int(position)
+    return mask
+
+
+@pytest.mark.parametrize("n", [4, 7, 13])  # 6, 21, 78 bits: not bytes
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 1.0])
+def test_mutation_matches_per_bit_loop(n, rate):
+    for seed in range(5):
+        g = Graph(n, random.Random(seed).getrandbits(pair_count(n)))
+        rng = np.random.default_rng(seed)
+        expected_rng = np.random.default_rng(seed)
+        mask = mask_by_bits(expected_rng.random(pair_count(n)), rate)
+        assert binary_mutation(g, rate, rng) == Graph(n, g.code ^ mask)
+        assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (7, 2), (7, 3), (13, 2)])
+def test_initial_population_matches_per_bit_loop(n, k):
+    # (7, 3) seeds half the population from counterexample_family(3, 0)
+    config = SolverConfig(n=n, k=k, seed=8)
+    t = counterexample_parameter(n, k)
+    seeded = int(config.counterexample_fraction * config.population_size) \
+        if t is not None else 0
+    expected = []
+    for index in range(config.population_size):
+        rng = evolve._stream(config.seed, evolve._PHASE_INIT, 0, index)
+        draws = rng.random(pair_count(n))
+        if index < seeded:
+            base = counterexample_family(k, t)
+            mask = mask_by_bits(draws, config.mutation_rate)
+            expected.append(Graph(n, base.code ^ mask))
+        else:
+            expected.append(Graph(n, mask_by_bits(draws, 0.5)))
+    assert initial_population(config) == expected
+
+
 # ----- generation loop ------------------------------------------------------
 
 def test_solver_rejects_empty_scope():
@@ -186,15 +228,15 @@ def test_runs_with_same_seed_are_identical():
     assert first.diversified.selected == second.diversified.selected
 
 
-def test_thread_count_does_not_change_results():
-    lone = run_solver(SolverConfig(n=7, k=2, generations=15, seed=33,
-                                   threads=1))
-    multi = run_solver(SolverConfig(n=7, k=2, generations=15, seed=33,
-                                    threads=4))
-    assert [r.graph for r in lone.archive] == [r.graph for r in multi.archive]
-    assert [r.screening for r in lone.archive] \
-        == [r.screening for r in multi.archive]
-    assert lone.diversified.selected == multi.diversified.selected
+def test_explicit_initial_population_does_not_change_results():
+    config = SolverConfig(n=7, k=2, generations=15, seed=33)
+    implicit = run_solver(config)
+    explicit = run_solver(config, population=initial_population(config))
+    assert [r.graph for r in implicit.archive] \
+        == [r.graph for r in explicit.archive]
+    assert [r.screening for r in implicit.archive] \
+        == [r.screening for r in explicit.archive]
+    assert implicit.diversified.selected == explicit.diversified.selected
 
 
 def test_unverified_stream_when_order_above_limit():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -103,6 +104,32 @@ def test_edges_match_bits(g):
     for u, v in g.edges():
         assert g.has_edge(u, v)
         assert v in g.neighbors(u) and u in g.neighbors(v)
+
+
+def adjacency_by_pairs(g):
+    """Neighbour masks from a test of every encoded pair."""
+    masks = [0] * g.n
+    position = 0
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (g.code >> position) & 1:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            position += 1
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("n", range(65))
+def test_adjacency_matches_pair_loop(n):
+    rng = random.Random(n)
+    length = pair_count(n)
+    codes = [0, (1 << length) - 1, star(n).code if n else 0]
+    codes += [rng.getrandbits(length) for _ in range(3)]
+    codes.append(rng.getrandbits(length) & rng.getrandbits(length)
+                 & rng.getrandbits(length))  # sparse
+    for code in codes:
+        g = Graph(n, code)
+        assert g.adjacency == adjacency_by_pairs(g)
 
 
 # ----- isolated vertex counting ---------------------------------------------

@@ -34,6 +34,9 @@ from isotough.toughness import (
     roulette_select,
 )
 
+from _pseudo_greedy_reference import reference_estimate, \
+    roulette_select_loop
+
 WORKED_BITS = "1111010010"
 
 
@@ -255,6 +258,16 @@ def test_roulette_rejects_bad_input():
         roulette_select([0, 0], 0.5)
 
 
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=30),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_roulette_matches_loop_reference(degrees, p):
+    if sum(degrees) == 0:
+        with pytest.raises(ValueError):
+            roulette_select(degrees, p)
+    else:
+        assert roulette_select(degrees, p) == roulette_select_loop(degrees, p)
+
+
 def test_roulette_never_picks_zero_degree(seeded_rng):
     degrees = [0, 3, 0, 1, 0]
     for _ in range(200):
@@ -289,10 +302,73 @@ def test_pseudo_greedy_is_seed_deterministic():
     assert len({tuple(r.deletion_sequence) for r in runs}) == 1
 
 
-def test_pseudo_greedy_runs_expected_step_count():
-    g = star(8)
-    trace = pseudo_greedy_estimate(g, np.random.default_rng(3))
-    assert len(trace.steps) == g.n - 3
+def test_pseudo_greedy_draws_one_uniform_per_step_with_an_edge():
+    # star(8): after the first step the roulette track has no edge left
+    # (the hub went, or a reset copied the maximum-degree track that
+    # deleted it), so one uniform is drawn; K_8 keeps an edge through
+    # all n - 3 steps
+    for g, draws in ((star(8), 1), (complete(8), 5)):
+        rng = np.random.default_rng(3)
+        pseudo_greedy_estimate(g, rng)
+        expected = np.random.default_rng(3)
+        for _ in range(draws):
+            expected.random()
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def perfect_matching(n):
+    """n // 2 disjoint edges; an odd order leaves its last vertex alone."""
+    return from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+
+
+def seeded_graph(n, density, seed):
+    draws = np.random.default_rng(seed).random(pair_count(n))
+    code = 0
+    for position, draw in enumerate(draws):
+        if draw < density:
+            code |= 1 << position
+    return Graph(n, code)
+
+
+@st.composite
+def estimator_graphs(draw):
+    n = draw(st.integers(4, 24))
+    kind = draw(st.sampled_from(("random", "empty", "complete", "star",
+                                 "matching")))
+    if kind == "empty":
+        return empty_graph(n)
+    if kind == "complete":
+        return complete(n)
+    if kind == "star":
+        return star(n)
+    if kind == "matching":
+        return perfect_matching(n)
+    return seeded_graph(n, draw(st.integers(0, 100)) / 100,
+                        draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def assert_matches_reference(g, seed):
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    trace = pseudo_greedy_estimate(g, rng)
+    assert (trace.estimate, trace.deletion_sequence, trace.resets,
+            trace.delegated) == reference_estimate(g, reference_rng)
+    # equal generator states pin the number of uniforms drawn
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@given(estimator_graphs(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_pseudo_greedy_matches_reference(g, seed):
+    assert_matches_reference(g, seed)
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_pseudo_greedy_matches_reference_on_families(n):
+    for g in (empty_graph(n), complete(n), star(n), perfect_matching(n),
+              seeded_graph(n, 0.2, n), seeded_graph(n, 0.5, n)):
+        for seed in range(3):
+            assert_matches_reference(g, seed)
 
 
 @given(graphs(4, 9), st.integers(0, 2 ** 32 - 1))
