@@ -1,11 +1,20 @@
 """Ground-truth companions to the solver.
 
-enumerate_exact scans every adjacency encoding at a given order, computes
-minimum degree and the exact variant toughness for each, and records the
-per-degree minimum that strictly clears the acceptance bound, together
-with a witness.  The scan runs on numpy over fixed-size encoding chunks
-whose partial results merge associatively, so chunking never changes the
-outcome.
+enumerate_exact scores every isomorphism class of order n from
+nonisomorphic_graphs with the exact engine of `toughness`, the same
+engine the solver verifies with.  For each minimum degree in scope it
+keeps the lowest variant toughness that strictly clears the acceptance
+bound, and as witness the smallest labelled encoding over every
+relabeling of the classes that reach it.  That witness is the minimum
+over all n! relabelings, not canonical_code's class invariant; a small
+search finds it by handing out labels from n-1 down, since each label
+fixes the next-highest row of the encoding.
+
+nonisomorphic_graphs builds the classes order by order: it adds a vertex
+to each class of the order below in every way that leaves the new vertex
+with minimum degree, and keeps one canonical code per class.  Deleting a
+minimum-degree vertex of any graph leaves a class of the order below, so
+no class is lost.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters over all isomorphism classes up to order 7 (random
@@ -15,11 +24,9 @@ order the same way in both size and isolated count.
 
 from __future__ import annotations
 
-import math
 import platform
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,13 +35,12 @@ from .canonical import canonical_code
 from .errors import CapacityError
 from .evolve import SolverConfig, report, run_solver
 from .factors import delta_scope, requirement_bound
-from .graphs import Graph, edge_index, pair_count
+from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
     exact_isolated_toughness_variant
 
 DEFAULT_ENUMERATION_LIMIT = 7
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,124 +55,105 @@ class EnumerationResult:
     n: int
     k: int
     scope: tuple[int, int]
-    total_scanned: int
+    total_scanned: int            # labelled encodings the optima cover
     optima: dict[int, DegreeOptimum]
     elapsed_s: float
 
 
-def _scan_chunk(start: int, stop: int, n: int, k: int,
-                scope: tuple[int, int], position: list[list[int]],
-                subset_masks: list[tuple[int, tuple[int, ...]]],
-                lcm: int, sentinel: int) -> dict[int, tuple[int, int]]:
-    """Per-degree (scaled value, witness code) minima over one code range."""
-    lo, hi = scope
-    codes = np.arange(start, stop, dtype=np.int64)
-    degrees = np.zeros((n, len(codes)), dtype=np.int16)
-    for u in range(n):
-        for v in range(u + 1, n):
-            bit = ((codes >> position[u][v]) & 1).astype(np.int16)
-            degrees[u] += bit
-            degrees[v] += bit
-    delta = degrees.min(axis=0)
-    keep = (delta >= lo) & (delta <= hi)
-    if not keep.any():
-        return {}
-    codes = codes[keep]
-    delta = delta[keep]
+def _min_code(g: Graph) -> int:
+    """Smallest encoding over all relabelings of g.
 
-    scaled = np.full(len(codes), sentinel, dtype=np.int64)
-    for size_s, outside_masks in subset_masks:
-        iso = np.zeros(len(codes), dtype=np.int16)
-        for edge_mask in outside_masks:
-            iso += (codes & edge_mask) == 0
-        qualifies = iso >= 2
-        if not qualifies.any():
-            continue
-        values = size_s * (lcm // (iso[qualifies].astype(np.int64) - 1))
-        slot = np.flatnonzero(qualifies)
-        np.minimum.at(scaled, slot, values)
+    Labels go out from n-1 down.  Handing out label a fixes the pairs
+    (a, b), b > a, which are the highest bits not yet fixed, so a child
+    must give a its smallest possible row; a branch stops once its fixed
+    bits exceed the best code.  Of two tied candidates that are twins,
+    only the first is tried: swapping them is an automorphism.
+    """
+    n = g.n
+    adj = g.adjacency
+    best: Optional[int] = None
 
-    minima: dict[int, tuple[int, int]] = {}
-    for d in range(lo, hi + 1):
-        bound = requirement_bound(k, d)
-        bound_scaled = bound.numerator * lcm // bound.denominator
-        picked = (delta == d) & (scaled > bound_scaled)
-        if not picked.any():
-            continue
-        sub = scaled[picked]
-        low = int(sub.min())
-        witness = int(codes[picked][sub == low].min())
-        minima[d] = (low, witness)
-    return minima
+    def search(a: int, rows: dict[int, int], code: int) -> None:
+        nonlocal best
+        if a < 0:
+            if best is None or code < best:
+                best = code
+            return
+        low = min(rows.values())
+        start = a * (n - 1) - a * (a - 1) // 2  # bit of the pair (a, a+1)
+        code |= low >> (a + 1) << start
+        if best is not None and code >> start > best >> start:
+            return
+        tried: list[int] = []
+        for v, row in rows.items():
+            if row != low or any((adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
+                                 for u in tried):
+                continue
+            tried.append(v)
+            search(a - 1, {u: r | (adj[v] >> u & 1) << a
+                           for u, r in rows.items() if u != v}, code)
+
+    search(n - 1, dict.fromkeys(range(n), 0), 0)
+    return best
 
 
 def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
                     *, limit: int = DEFAULT_ENUMERATION_LIMIT,
-                    force: bool = False, chunk: int = _CHUNK
-                    ) -> EnumerationResult:
-    """Exhaustive per-degree optima over every encoding of order n."""
+                    force: bool = False) -> EnumerationResult:
+    """Exhaustive per-degree optima over every isomorphism class of order n.
+
+    Each optimum is the lowest variant toughness above the bound at that
+    minimum degree, witnessed by the smallest encoding of order n that
+    attains it; `total_scanned` counts the labelled encodings covered.
+    """
     if n < 2:
         raise ValueError("enumeration needs order n >= 2")
     if k < 2:
         raise ValueError("capacity k must be at least 2")
     if n > limit and not force:
         raise CapacityError(
-            f"enumerating order {n} means {1 << pair_count(n)} encodings; "
+            f"enumeration stops at order {limit}: the isomorphism classes "
+            f"of order {n} take far longer to generate and score; "
             "pass force to override")
     if scope is None:
         scope = delta_scope(n, k)
     started = time.perf_counter()
 
-    position = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            position[u][v] = edge_index(u, v, n)
-
-    # Deletion sets worth testing leave at least two vertices outside.
-    subset_masks = []
-    for smask in range(1 << n):
-        size_s = smask.bit_count()
-        if size_s > n - 2:
+    lo, hi = scope
+    best: dict[int, tuple[Ratio, list[Graph]]] = {}
+    for g in nonisomorphic_graphs(n):
+        d = g.min_degree
+        if not lo <= d <= hi:
             continue
-        outside = [v for v in range(n) if not (smask >> v) & 1]
-        masks = []
-        for v in outside:
-            edge_mask = 0
-            for u in outside:
-                if u != v:
-                    edge_mask |= 1 << position[min(u, v)][max(u, v)]
-            masks.append(edge_mask)
-        subset_masks.append((size_s, tuple(masks)))
-
-    lcm = math.lcm(*range(1, n + 1))
-    sentinel = (n + 1) * lcm  # larger than any finite scaled ratio
-    total = 1 << pair_count(n)
-    merged: dict[int, tuple[int, int]] = {}
-    for start in range(0, total, chunk):
-        partial = _scan_chunk(start, min(start + chunk, total), n, k, scope,
-                              position, subset_masks, lcm, sentinel)
-        for d, (value, witness) in partial.items():
-            if d not in merged or (value, witness) < merged[d]:
-                merged[d] = (value, witness)
+        value = exact_isolated_toughness_variant(g).value
+        if not value > requirement_bound(k, d):
+            continue
+        if d not in best or value < best[d][0]:
+            best[d] = (value, [g])
+        elif value == best[d][0]:
+            best[d][1].append(g)
 
     optima: dict[int, DegreeOptimum] = {}
-    for d in range(scope[0], scope[1] + 1):
-        if d not in merged:
+    for d in range(lo, hi + 1):
+        if d not in best:
             optima[d] = DegreeOptimum(d, None, None)
             continue
-        value_scaled, witness_code = merged[d]
-        value: Ratio = INFINITY if value_scaled >= sentinel \
-            else Fraction(value_scaled, lcm)
-        optima[d] = DegreeOptimum(d, value, Graph(n, witness_code))
-    return EnumerationResult(n=n, k=k, scope=scope, total_scanned=total,
-                             optima=optima,
+        value, tied = best[d]
+        witness = min(_min_code(g) for g in tied)
+        optima[d] = DegreeOptimum(d, value, Graph(n, witness))
+    return EnumerationResult(n=n, k=k, scope=scope,
+                             total_scanned=1 << pair_count(n), optima=optima,
                              elapsed_s=time.perf_counter() - started)
 
 
 # ----- non-isomorphic graph generation --------------------------------------
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """Canonical representatives of every isomorphism class at order n."""
+    """Canonical representatives of every isomorphism class at order n.
+
+    A class of order m comes from one of order m-1 plus a new vertex of
+    minimum degree in the result, so only those extensions are labelled.
+    """
     if n < 1:
         raise ValueError("need order n >= 1")
     level = [Graph(1, 0)]
@@ -174,13 +161,14 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
         seen: set[int] = set()
         for g in level:
             base_edges = list(g.edges())
+            degrees = g.degrees
             for mask in range(1 << (m - 1)):
-                edges = base_edges + [(u, m - 1) for u in range(m - 1)
-                                      if (mask >> u) & 1]
-                code = 0
-                for u, v in edges:
-                    code |= 1 << edge_index(u, v, m)
-                seen.add(canonical_code(Graph(m, code)))
+                if any(mask.bit_count() > d + (mask >> u & 1)
+                       for u, d in enumerate(degrees)):
+                    continue
+                child = from_edges(m, base_edges + [
+                    (u, m - 1) for u in range(m - 1) if (mask >> u) & 1])
+                seen.add(canonical_code(child))
         level = [Graph(m, code) for code in sorted(seen)]
     return level
 
@@ -288,18 +276,9 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
                                                for d in range(scope[0],
                                                               scope[1] + 1)}
     total_solver = 0.0
+    base = SolverConfig(n=n, k=k) if config is None else config
     for at in range(runs):
-        if config is None:
-            run_config = SolverConfig(n=n, k=k, seed=seed + at)
-        else:
-            run_config = SolverConfig(
-                n=n, k=k, population_size=config.population_size,
-                generations=config.generations,
-                mutation_rate=config.mutation_rate,
-                counterexample_fraction=config.counterexample_fraction,
-                seed=seed + at, scope=config.scope,
-                exact_verify_limit=config.exact_verify_limit)
-        result = run_solver(run_config)
+        result = run_solver(replace(base, n=n, k=k, seed=seed + at))
         total_solver += result.timings["total_s"]
         for delta, value in report(result).optima.items():
             if value is None:

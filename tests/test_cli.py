@@ -206,6 +206,13 @@ def test_enumerate_null_and_infinite_rows(capsys):
     assert "(3, inf) witness 111111" in out
 
 
+def test_enumerate_default_window_keeps_the_complete_graph(capsys):
+    # at (4, 3) only K4 has minimum degree 3; its infinite value clears
+    # the bound 5
+    assert main(["enumerate", "--n", "4", "--k", "3"]) == 0
+    assert "(3, inf) witness 111111" in capsys.readouterr().out
+
+
 # ----- explore --------------------------------------------------------------
 
 def test_explore_small_survey(capsys):

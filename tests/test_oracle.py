@@ -1,14 +1,18 @@
 """Exhaustive enumeration, minimizer survey and benchmark oracles."""
 
+import functools
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from isotough.errors import CapacityError, ScopeError
 from isotough.factors import requirement_bound
-from isotough.graphs import complete, from_bits, pair_count
-from isotough.oracle import benchmark, enumerate_exact, explore_minimizers, \
-    nonisomorphic_graphs
+from isotough.graphs import Graph, complete, from_bits, from_edges, \
+    pair_count
+from isotough.oracle import _min_code, benchmark, enumerate_exact, \
+    explore_minimizers, nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import exact_isolated_toughness_variant
 
@@ -36,6 +40,14 @@ def test_enumeration_order_six():
     assert optimum.witness == from_bits(6, "100010001110100")
 
 
+def test_enumeration_order_eight():
+    result = enumerate_exact(8, 2, force=True)
+    assert result.scope == (2, 3)
+    assert {d: (o.value, o.witness.bits()) for d, o in result.optima.items()} \
+        == {2: (Fraction(6), "1000001000001111101110110100"),
+            3: (Fraction(6), "1100001100001000011110110100")}
+
+
 def test_enumeration_order_four_explicit_window():
     result = enumerate_exact(4, 2, scope=(2, 3))
     assert result.optima[2].value is None
@@ -55,38 +67,73 @@ def test_witnesses_reproduce_their_claims():
         assert optimum.value > requirement_bound(2, delta)
 
 
-def brute_optima(n, k, scope):
-    """Independent route: scan isomorphism classes with the exact engine."""
-    best = {d: None for d in range(scope[0], scope[1] + 1)}
-    for g in nonisomorphic_graphs(n):
-        delta = g.min_degree
-        if not scope[0] <= delta <= scope[1]:
-            continue
+def test_enumeration_complete_graph_clears_every_bound():
+    # K_n has no qualifying deletion set, so its value is infinite and
+    # strictly above the bound, however large the bound
+    for n, k in ((4, 3), (5, 4)):
+        optimum = enumerate_exact(n, k).optima[n - 1]
+        assert optimum.value == INFINITY
+        assert optimum.witness == complete(n)
+
+
+@functools.lru_cache(maxsize=None)
+def labelled_scan(n):
+    """Independent route: every encoding of order n through the engine.
+
+    Per minimum degree, (value, code) pairs in ascending order, so the first
+    pair above a bound holds the optimum and its smallest witness code.
+    """
+    by_delta = {}
+    for code in range(1 << pair_count(n)):
+        g = Graph(n, code)
         value = exact_isolated_toughness_variant(g).value
-        if not value > requirement_bound(k, delta):
-            continue
-        if best[delta] is None or value < best[delta]:
-            best[delta] = value
+        by_delta.setdefault(g.min_degree, []).append((value, code))
+    return {d: sorted(pairs) for d, pairs in by_delta.items()}
+
+
+def labelled_optima(n, k, scope):
+    best = {}
+    for d in range(scope[0], scope[1] + 1):
+        bound = requirement_bound(k, d)
+        value, code = next((pair for pair in labelled_scan(n).get(d, ())
+                            if pair[0] > bound), (None, None))
+        best[d] = (value, None if code is None else Graph(n, code))
     return best
 
 
 @pytest.mark.parametrize("n,k,scope", [(4, 2, (2, 3)), (5, 2, (2, 4)),
                                        (5, 3, (3, 4))])
 def test_encoding_scan_matches_isomorphism_class_scan(n, k, scope):
-    # every relabeling of a class appears in the raw-encoding scan, so the
-    # per-degree optima of the two routes must coincide exactly
+    # every relabeling of a class appears in the labelled scan, so both
+    # routes must agree on each optimum and on its smallest witness
     result = enumerate_exact(n, k, scope=scope)
-    expected = brute_optima(n, k, scope)
-    assert {d: o.value for d, o in result.optima.items()} == expected
+    assert {d: (o.value, o.witness) for d, o in result.optima.items()} \
+        == labelled_optima(n, k, scope)
 
 
-def test_chunking_does_not_change_results():
-    coarse = enumerate_exact(6, 2)
-    expected = {d: (o.value, o.witness) for d, o in coarse.optima.items()}
-    for chunk in (1 << 8, 1 << 10, 1000):  # 1000 leaves a ragged last chunk
-        fine = enumerate_exact(6, 2, chunk=chunk)
-        assert {d: (o.value, o.witness) for d, o in fine.optima.items()} \
-            == expected
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_class_route_matches_labelled_scan_on_every_window(n):
+    for k in (2, 3, 4):
+        for lo in range(k, n):
+            for hi in range(lo, n):
+                result = enumerate_exact(n, k, scope=(lo, hi))
+                assert {d: (o.value, o.witness)
+                        for d, o in result.optima.items()} \
+                    == labelled_optima(n, k, (lo, hi)), (k, lo, hi)
+
+
+def test_min_code_is_smallest_over_all_relabelings():
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            twin = from_edges(n, [(shuffled[u], shuffled[v])
+                                  for u, v in g.edges()])
+            smallest = min(
+                from_edges(n, [(p[u], p[v]) for u, v in g.edges()]).code
+                for p in itertools.permutations(range(n)))
+            assert _min_code(twin) == smallest, g.bits()
 
 
 # ----- isomorphism class generation -----------------------------------------
