@@ -3,7 +3,10 @@
 Each generation screens the population with the pseudo-greedy estimator,
 re-verifies screening survivors with the exact engine (orders up to the
 verify limit), buckets verified records by minimum degree, and moves each
-bucket's best record into the archive.  The next population comes from
+bucket's best record into the archive.  Each distinct archived graph is
+certified once more by building its fractional k-factor with the flow
+search; a graph the exact value accepts but the flow cannot factor is a
+ConsistencyError.  The next population comes from
 random non-self pairing, single-point crossover and per-bit mutation, with
 one elite surviving unchanged.
 
@@ -21,8 +24,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .canonical import canonical_form, deduplicate
-from .errors import EmptyArchiveError
-from .factors import delta_scope, requirement_check
+from .errors import ConsistencyError, EmptyArchiveError
+from .factors import FactorSpec, delta_scope, has_fractional_factor, \
+    requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
@@ -233,6 +237,8 @@ def run_solver(config: SolverConfig,
     summaries: list[GenerationSummary] = []
     exact_cache: dict[int, Ratio] = {}
     canonical_cache: dict[int, str] = {}
+    factor_spec = FactorSpec.k_factor(config.k)
+    certified: set[int] = set()
 
     def exact_value(g: Graph) -> Ratio:
         cached = exact_cache.get(g.code)
@@ -247,6 +253,19 @@ def run_solver(config: SolverConfig,
             cached = canonical_form(g).key
             canonical_cache[g.code] = cached
         return cached
+
+    def certify(record: CandidateRecord) -> None:
+        """An accepted exact value promises a fractional k-factor; the
+        flow search must build it."""
+        g = record.graph
+        if g.code in certified:
+            return
+        if not has_fractional_factor(g, factor_spec):
+            raise ConsistencyError(
+                "accepted graph lacks a fractional factor: "
+                f"n={g.n} bits={g.bits()} k={config.k} delta={record.delta}"
+                f" value={record.value}")
+        certified.add(g.code)
 
     for generation in range(config.generations):
         screenings = _screen(population, config, generation)
@@ -276,6 +295,7 @@ def run_solver(config: SolverConfig,
         for delta in sorted(buckets):
             best = min(buckets[delta],
                        key=lambda r: (r.value, canonical_key(r.graph)))
+            certify(best)
             harvested[delta] = best
             archive.append(best)
         summaries.append(GenerationSummary(

@@ -1,12 +1,21 @@
 """Fractional [a,b]-factor feasibility and the acceptance requirement.
 
 A fractional [a,b]-factor is an edge weighting h: E -> [0,1] whose sum at
-every vertex lies in [a,b].  Feasibility is decided exactly by integral
-max-flow on the bipartite double cover: source -> left copy with bounds
-[a,b], one unit arc per edge direction between the copies, right copy ->
-sink with bounds [a,b].  Lower bounds are removed with the standard
-circulation transform.  Any feasible weighting can be rebalanced to that
-form, with h recovered as half the sum of the two arc flows.
+every vertex lies in [a,b].  It exists iff the bipartite double cover has
+an integral one: a set of arcs u_L -> v_R, one per direction of an edge,
+with every left and every right degree in [a,b].  Given such arcs x,
+h(uv) = (x_uv + x_vu) / 2 is a half-integral factor; conversely any
+factor can be rebalanced to that form.
+
+The arcs are found by a search over Python-int bitmasks.  A balanced
+greedy start gives each left vertex, lowest graph degree first, a arcs to
+its least-loaded right partners below b.  Each vertex left below a is
+then repaired by an alternating path from it: add an arc, remove an arc,
+and so on, ending at a vertex with slack, a right vertex below b or a
+left vertex above a.  Only the two ends change degree.  The same repair
+then runs with the sides swapped for the right vertices.  When a
+deficient vertex has no such path, the vertices it reaches violate the
+degree sums of every solution, so the instance is infeasible.
 """
 
 from __future__ import annotations
@@ -14,10 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import ConsistencyError, ScopeError
 from .graphs import Graph
@@ -43,64 +48,109 @@ class FactorSpec:
         return cls(k, k)
 
 
-def _solve_double_cover(g: Graph, spec: FactorSpec):
-    """Max-flow on the transformed double cover; returns (feasible, flow)."""
+def _double_cover_arcs(g: Graph, a: int, b: int) -> Optional[list[int]]:
+    """Arcs u_L -> v_R with every left and right degree in [a, b], as one
+    mask of right partners per left vertex; None when infeasible."""
     n = g.n
-    if n == 0:
-        return True, None
-    a, b = spec.a, spec.b
-    source, sink = 0, 1          # circulation super source / sink
-    s, t = 2, 3                  # original terminals
-    left = lambda v: 4 + v
-    right = lambda v: 4 + n + v
+    adjacency, degrees = g.adjacency, g.degrees
+    if n and min(degrees) < a:
+        return None
+    out = [0] * n           # right partners of each left vertex
+    into = [0] * n          # left partners of each right vertex
+    loads = [(1 << n) - 1] + [0] * b    # loads[j]: right vertices of degree j
+    for u in sorted(range(n), key=degrees.__getitem__):
+        want = a
+        for j in range(b):
+            pick = adjacency[u] & loads[j] & ~out[u]
+            while pick and want:
+                low = pick & -pick
+                pick ^= low
+                loads[j] ^= low
+                loads[j + 1] |= low
+                out[u] |= low
+                into[low.bit_length() - 1] |= 1 << u
+                want -= 1
+            if not want:
+                break
+    for near, far in ((out, into), (into, out)):
+        for s in range(n):
+            while near[s].bit_count() < a:
+                if not _augment(s, adjacency, near, far, a, b):
+                    return None
+    return out
 
-    caps: dict[tuple[int, int], int] = {}
 
-    def add(u: int, v: int, c: int) -> None:
-        if c > 0:
-            caps[u, v] = caps.get((u, v), 0) + c
+def _augment(s: int, adjacency: tuple[int, ...], near: list[int],
+             far: list[int], a: int, b: int) -> bool:
+    """Give the near vertex s one more arc along an alternating path.
 
-    for v in range(n):
-        add(s, left(v), b - a)       # arc s -> v_L with lower bound a
-        add(source, left(v), a)
-        add(s, sink, a)
-        add(right(v), t, b - a)      # arc v_R -> t with lower bound a
-        add(source, t, a)
-        add(right(v), sink, a)
-    for u, v in g.edges():
-        add(left(u), right(v), 1)
-        add(left(v), right(u), 1)
-    add(t, s, n * b)                 # closes the circulation
+    `near[x]` holds the far partners of near vertex x and `far[y]` the
+    near partners of far vertex y; the adjacency serves both sides.  The
+    breadth-first search leaves a near vertex by an unchosen arc and a far
+    vertex by a chosen one.  It stops at the first far vertex below b,
+    which gains an arc, or near vertex above a, which loses one.  Every
+    vertex between keeps its degree.  False when no path exists.
+    """
+    via_far: dict[int, int] = {}    # far vertex -> near vertex before it
+    via_near: dict[int, int] = {}   # near vertex -> far vertex before it
+    seen_far, seen_near = 0, 1 << s
+    frontier = [s]
+    while frontier:
+        following = []
+        for x in frontier:
+            fresh = adjacency[x] & ~near[x] & ~seen_far
+            seen_far |= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                y = low.bit_length() - 1
+                if far[y].bit_count() < b:
+                    near[x] |= low
+                    far[y] |= 1 << x
+                    _flip_path(x, s, near, far, via_far, via_near)
+                    return True
+                via_far[y] = x
+                back = far[y] & ~seen_near
+                seen_near |= back
+                while back:
+                    low = back & -back
+                    back ^= low
+                    z = low.bit_length() - 1
+                    via_near[z] = y
+                    if near[z].bit_count() > a:
+                        _flip_path(z, s, near, far, via_far, via_near)
+                        return True
+                    following.append(z)
+        frontier = following
+    return False
 
-    size = 4 + 2 * n
-    rows = np.fromiter((u for u, _ in caps), dtype=np.int32, count=len(caps))
-    cols = np.fromiter((v for _, v in caps), dtype=np.int32, count=len(caps))
-    data = np.fromiter(caps.values(), dtype=np.int32, count=len(caps))
-    matrix = csr_matrix((data, (rows, cols)), shape=(size, size))
-    result = maximum_flow(matrix, source, sink)
-    feasible = result.flow_value == 2 * n * a
-    return feasible, (result.flow if feasible else None)
+
+def _flip_path(x: int, s: int, near: list[int], far: list[int],
+               via_far: dict[int, int], via_near: dict[int, int]) -> None:
+    """Walk the search tree back from near vertex x to s, dropping each
+    chosen arc it climbs and choosing each unchosen one."""
+    while x != s:
+        y = via_near[x]
+        near[x] ^= 1 << y
+        far[y] ^= 1 << x
+        x = via_far[y]
+        near[x] |= 1 << y
+        far[y] |= 1 << x
 
 
 def has_fractional_factor(g: Graph, spec: FactorSpec) -> bool:
-    feasible, _ = _solve_double_cover(g, spec)
-    return feasible
+    return _double_cover_arcs(g, spec.a, spec.b) is not None
 
 
 def fractional_k_factor(g: Graph, k: int
                         ) -> Optional[dict[tuple[int, int], Fraction]]:
     """A concrete half-integral k-factor, or None when infeasible."""
     spec = FactorSpec.k_factor(k)
-    feasible, flow = _solve_double_cover(g, spec)
-    if not feasible:
+    out = _double_cover_arcs(g, spec.a, spec.b)
+    if out is None:
         return None
-    n = g.n
-    assignment: dict[tuple[int, int], Fraction] = {}
-    for u, v in g.edges():
-        f1 = int(flow[4 + u, 4 + n + v])
-        f2 = int(flow[4 + v, 4 + n + u])
-        assignment[u, v] = Fraction(f1 + f2, 2)
-    return assignment
+    return {(u, v): Fraction((out[u] >> v & 1) + (out[v] >> u & 1), 2)
+            for u, v in g.edges()}
 
 
 def delta_scope(n: int, k: int) -> tuple[int, int]:

@@ -7,6 +7,12 @@ Two oracles, both exact and free of flow machinery:
   of min(0, deg_{G-T}(v) - a) is non-negative for every T.
 * simplex_feasible: phase-one simplex over exact Fractions on the literal
   linear program 0 <= h_e <= 1, a <= sum_{e at v} h_e <= b.
+
+A third, scipy_flow_feasible, is the former product route: scipy's
+integral max-flow on the double cover with the lower bounds removed by
+the circulation transform.  It is fast enough for order 64, so it is the
+reference where the two exact oracles above would take too long.  scipy
+is a test-only dependency and is imported only when it is called.
 """
 
 from fractions import Fraction
@@ -111,3 +117,42 @@ def simplex_feasible(g: Graph, a: int, b: int) -> bool:
         slack += 1
         rows.append((coeffs, rhs))
     return _phase_one_feasible(rows, num_vars)
+
+
+def scipy_flow_feasible(g: Graph, a: int, b: int) -> bool:
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    n = g.n
+    if n == 0:
+        return True
+    source, sink = 0, 1          # circulation super source / sink
+    s, t = 2, 3                  # original terminals
+    left = lambda v: 4 + v
+    right = lambda v: 4 + n + v
+
+    caps: dict[tuple[int, int], int] = {}
+
+    def add(u: int, v: int, c: int) -> None:
+        if c > 0:
+            caps[u, v] = caps.get((u, v), 0) + c
+
+    for v in range(n):
+        add(s, left(v), b - a)       # arc s -> v_L with lower bound a
+        add(source, left(v), a)
+        add(s, sink, a)
+        add(right(v), t, b - a)      # arc v_R -> t with lower bound a
+        add(source, t, a)
+        add(right(v), sink, a)
+    for u, v in g.edges():
+        add(left(u), right(v), 1)
+        add(left(v), right(u), 1)
+    add(t, s, n * b)                 # closes the circulation
+
+    size = 4 + 2 * n
+    rows = np.fromiter((u for u, _ in caps), dtype=np.int32, count=len(caps))
+    cols = np.fromiter((v for _, v in caps), dtype=np.int32, count=len(caps))
+    data = np.fromiter(caps.values(), dtype=np.int32, count=len(caps))
+    matrix = csr_matrix((data, (rows, cols)), shape=(size, size))
+    return maximum_flow(matrix, source, sink).flow_value == 2 * n * a

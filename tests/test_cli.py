@@ -343,6 +343,16 @@ def test_solve_seed_changes_output(capsys, tmp_path):
     assert one["config"]["seed"] != two["config"]["seed"]
 
 
+def test_solve_factor_disagreement_exits_four(capsys, tmp_path, monkeypatch):
+    # an accepted graph whose fractional k-factor the flow cannot build
+    monkeypatch.setattr("isotough.evolve.has_fractional_factor",
+                        lambda g, spec: False)
+    assert main(SOLVE_FAST + ["--out", str(tmp_path / "run")]) == 4
+    captured = capsys.readouterr()
+    assert "consistency error" in captured.err
+    assert "lacks a fractional factor" in captured.err
+
+
 def test_solve_empty_archive_still_writes_manifest(capsys, tmp_path):
     out = tmp_path / "empty"
     code = main(["solve", "--n", "5", "--k", "2", "--generations", "5",

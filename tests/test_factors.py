@@ -1,7 +1,9 @@
 """Fractional factor feasibility, degree scope, and the requirement check."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from isotough.errors import ScopeError
 from isotough.factors import (
     FactorSpec,
+    _double_cover_arcs,
     certify_requirement,
     delta_scope,
     fractional_k_factor,
@@ -21,13 +24,19 @@ from isotough.graphs import (
     complete,
     counterexample_family,
     empty_graph,
+    from_bits,
     from_edges,
     pair_count,
     star,
 )
+from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
 
-from _feasibility_oracles import cut_condition_feasible, simplex_feasible
+from _feasibility_oracles import (
+    cut_condition_feasible,
+    scipy_flow_feasible,
+    simplex_feasible,
+)
 
 
 def cycle(n):
@@ -207,3 +216,139 @@ def test_certification_never_raises_on_arbitrary_graphs(g, k):
     certificate = certify_requirement(g, k)
     if certificate.accepted:
         assert certificate.factor_exists
+
+
+# ----- the bitmask search against the references ----------------------------
+
+def windows(n):
+    return [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+
+
+def gnp(rng, n, p):
+    return from_edges(n, [pair for pair in itertools.combinations(range(n), 2)
+                          if rng.random() < p])
+
+
+def assert_arcs_fit(g, arcs, a, b):
+    """The chosen double-cover arcs use edges only and put every left and
+    right degree inside [a, b]."""
+    assert len(arcs) == g.n
+    for v in range(g.n):
+        assert arcs[v] & ~g.adjacency[v] == 0
+        assert a <= arcs[v].bit_count() <= b
+        assert a <= sum(arcs[u] >> v & 1 for u in range(g.n)) <= b
+
+
+def assert_k_factor(g, assignment, k):
+    """Weights on edges only, each in {0, 1/2, 1}, summing to k at every
+    vertex."""
+    assert set(assignment) <= set(g.edges())
+    assert set(assignment.values()) <= {Fraction(0), Fraction(1, 2),
+                                        Fraction(1)}
+    at = [Fraction(0)] * g.n
+    for (u, v), weight in assignment.items():
+        at[u] += weight
+        at[v] += weight
+    assert at == [k] * g.n
+
+
+def test_order_zero_is_feasible():
+    assert has_fractional_factor(Graph(0, 0), FactorSpec(1, 1))
+    assert has_fractional_factor(Graph(0, 0), FactorSpec(3, 5))
+    assert fractional_k_factor(Graph(0, 0), 2) == {}
+
+
+def test_search_matches_cut_condition_on_every_small_encoding():
+    for n in range(1, 6):
+        for code in range(1 << pair_count(n)):
+            g = Graph(n, code)
+            for a, b in windows(n):
+                assert has_fractional_factor(g, FactorSpec(a, b)) \
+                    == cut_condition_feasible(g, a, b), (n, g.bits(), a, b)
+
+
+def test_search_matches_cut_condition_on_order_six_classes():
+    for g in nonisomorphic_graphs(6):
+        for a, b in windows(6):
+            arcs = _double_cover_arcs(g, a, b)
+            assert (arcs is not None) == cut_condition_feasible(g, a, b), \
+                (g.bits(), a, b)
+            if arcs is not None:
+                assert_arcs_fit(g, arcs, a, b)
+
+
+def test_search_matches_scipy_on_random_graphs():
+    rng = np.random.default_rng(20261018)
+    feasible = infeasible = 0
+    for _ in range(300):
+        n = int(rng.integers(7, 25))
+        g = gnp(rng, n, float(rng.uniform(0.15, 0.9)))
+        delta = max(1, g.min_degree)
+        a = int(rng.integers(1, delta + 1))
+        cases = {(delta, delta), (max(1, delta // 2), max(1, delta // 2)),
+                 (1, delta), (a, a + int(rng.integers(0, 3)))}
+        for a, b in sorted(cases):
+            arcs = _double_cover_arcs(g, a, b)
+            assert (arcs is not None) == scipy_flow_feasible(g, a, b), \
+                (g.n, g.bits(), a, b)
+            if arcs is None:
+                infeasible += 1
+            else:
+                assert_arcs_fit(g, arcs, a, b)
+                feasible += 1
+    assert feasible > 500 and infeasible > 50
+
+
+@pytest.mark.parametrize("n, bits, a, b", [
+    (6, "100110011111110", 1, 2),
+    (7, "110011010110111111110", 2, 3),
+    (7, "000011110110111111110", 2, 3),
+    (7, "000001000011110110011", 1, 2),
+])
+def test_repair_path_ending_at_a_vertex_above_a(n, bits, a, b):
+    # Over every class of order <= 7 and every window, these are the only
+    # cases whose repair path ends at a vertex above a, which then gives
+    # up an arc; every other path ends at a vertex below b.
+    g = from_bits(n, bits)
+    arcs = _double_cover_arcs(g, a, b)
+    assert arcs is not None and cut_condition_feasible(g, a, b)
+    assert_arcs_fit(g, arcs, a, b)
+
+
+def order_64_grid():
+    """(label, graph, a, b): the dense order-64 cases, also timed by
+    tests/time_flow_worst_cases.py."""
+    rng = np.random.default_rng(64)
+    grid = [("K64 k=32", complete(64), 32, 32),
+            ("K64 [1,63]", complete(64), 1, 63)]
+    for p in (0.2, 0.5, 0.8):
+        g = gnp(rng, 64, p)
+        delta = g.min_degree
+        grid += [(f"G(64,{p}) k=delta={delta}", g, delta, delta),
+                 (f"G(64,{p}) k=delta/2={delta // 2}", g, delta // 2,
+                  delta // 2)]
+    return grid
+
+
+def test_search_matches_scipy_on_dense_order_64_grid():
+    for label, g, a, b in order_64_grid():
+        arcs = _double_cover_arcs(g, a, b)
+        assert (arcs is not None) == scipy_flow_feasible(g, a, b), label
+        if arcs is not None:
+            assert_arcs_fit(g, arcs, a, b)
+        if arcs is not None and a == b:
+            assert_k_factor(g, fractional_k_factor(g, a), a)
+
+
+def test_k_factor_on_every_small_class():
+    found = 0
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for k in (1, 2, 3):
+                assignment = fractional_k_factor(g, k)
+                assert (assignment is not None) \
+                    == cut_condition_feasible(g, k, k), (g.bits(), k)
+                if assignment is not None:
+                    assert_k_factor(g, assignment, k)
+                    found += 1
+    assert found > 100

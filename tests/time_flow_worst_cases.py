@@ -1,0 +1,40 @@
+"""Time the flow search against the scipy reference on the order-64 grid.
+
+    PYTHONPATH=src:tests python tests/time_flow_worst_cases.py
+
+Each case is timed five times per route and the fastest run is kept.  One
+row per case: the feasibility answer, both times and their ratio.  Needs
+the test extra (scipy).
+"""
+
+import time
+
+from _feasibility_oracles import scipy_flow_feasible
+from isotough.factors import FactorSpec, has_fractional_factor
+from test_factors import order_64_grid
+
+
+def fastest(call, repeats=5):
+    best, answer = float("inf"), None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        answer = call()
+        best = min(best, time.perf_counter() - started)
+    return best, answer
+
+
+def main():
+    print(f"{'case':<26} {'factor':<6} {'search ms':>9} {'scipy ms':>9}"
+          f" {'ratio':>6}")
+    for label, g, a, b in order_64_grid():
+        spec = FactorSpec(a, b)
+        ours, answer = fastest(lambda: has_fractional_factor(g, spec))
+        theirs, reference = fastest(lambda: scipy_flow_feasible(g, a, b))
+        if answer != reference:
+            raise SystemExit(f"{label}: search {answer}, scipy {reference}")
+        print(f"{label:<26} {str(answer):<6} {ours * 1e3:9.2f}"
+              f" {theirs * 1e3:9.2f} {ours / theirs:6.2f}")
+
+
+if __name__ == "__main__":
+    main()
