@@ -24,9 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .canonical import canonical_form, deduplicate
-from .errors import ConsistencyError, EmptyArchiveError
-from .factors import FactorSpec, delta_scope, has_fractional_factor, \
-    requirement_check
+from .errors import EmptyArchiveError
+from .factors import delta_scope, require_factor, requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
@@ -237,7 +236,6 @@ def run_solver(config: SolverConfig,
     summaries: list[GenerationSummary] = []
     exact_cache: dict[int, Ratio] = {}
     canonical_cache: dict[int, str] = {}
-    factor_spec = FactorSpec.k_factor(config.k)
     certified: set[int] = set()
 
     def exact_value(g: Graph) -> Ratio:
@@ -253,19 +251,6 @@ def run_solver(config: SolverConfig,
             cached = canonical_form(g).key
             canonical_cache[g.code] = cached
         return cached
-
-    def certify(record: CandidateRecord) -> None:
-        """An accepted exact value promises a fractional k-factor; the
-        flow search must build it."""
-        g = record.graph
-        if g.code in certified:
-            return
-        if not has_fractional_factor(g, factor_spec):
-            raise ConsistencyError(
-                "accepted graph lacks a fractional factor: "
-                f"n={g.n} bits={g.bits()} k={config.k} delta={record.delta}"
-                f" value={record.value}")
-        certified.add(g.code)
 
     for generation in range(config.generations):
         screenings = _screen(population, config, generation)
@@ -295,7 +280,9 @@ def run_solver(config: SolverConfig,
         for delta in sorted(buckets):
             best = min(buckets[delta],
                        key=lambda r: (r.value, canonical_key(r.graph)))
-            certify(best)
+            if best.graph.code not in certified:
+                require_factor(best.graph, config.k, delta, best.value)
+                certified.add(best.graph.code)
             harvested[delta] = best
             archive.append(best)
         summaries.append(GenerationSummary(

@@ -2,10 +2,10 @@
 
 A fractional [a,b]-factor is an edge weighting h: E -> [0,1] whose sum at
 every vertex lies in [a,b].  It exists iff the bipartite double cover has
-an integral one: a set of arcs u_L -> v_R, one per direction of an edge,
-with every left and every right degree in [a,b].  Given such arcs x,
-h(uv) = (x_uv + x_vu) / 2 is a half-integral factor; conversely any
-factor can be rebalanced to that form.
+an integral one: a set of arcs u_L -> v_R, each an edge uv taken in one
+direction, with every left and every right degree in [a,b].  Given such
+arcs x, h(uv) = (x_uv + x_vu) / 2 is a half-integral factor; conversely
+any factor can be rebalanced to that form.
 
 The arcs are found by a search over Python-int bitmasks.  A balanced
 greedy start gives each left vertex, lowest graph degree first, a arcs to
@@ -13,9 +13,11 @@ its least-loaded right partners below b.  Each vertex left below a is
 then repaired by an alternating path from it: add an arc, remove an arc,
 and so on, ending at a vertex with slack, a right vertex below b or a
 left vertex above a.  Only the two ends change degree.  The same repair
-then runs with the sides swapped for the right vertices.  When a
-deficient vertex has no such path, the vertices it reaches violate the
-degree sums of every solution, so the instance is infeasible.
+then runs with the sides swapped for the right vertices.  Degrees are
+read as popcounts of the partner masks, so no separate count can drift
+from the arcs.  When a deficient vertex has no such path, the vertices
+it reaches violate the degree sums of every solution, so the instance is
+infeasible.
 """
 
 from __future__ import annotations
@@ -221,6 +223,15 @@ class FactorCertificate:
     k: int
 
 
+def require_factor(g: Graph, k: int, delta: int, value: Ratio) -> None:
+    """An accepted graph is guaranteed a fractional k-factor; raise
+    ConsistencyError when the flow search cannot build it."""
+    if not has_fractional_factor(g, FactorSpec.k_factor(k)):
+        raise ConsistencyError(
+            "accepted graph lacks a fractional factor: "
+            f"n={g.n} bits={g.bits()} k={k} delta={delta} value={value}")
+
+
 def certify_requirement(g: Graph, k: int,
                         scope: Optional[tuple[int, int]] = None
                         ) -> FactorCertificate:
@@ -233,12 +244,11 @@ def certify_requirement(g: Graph, k: int,
         scope = (k, max(k, g.n - 1))
     exact = exact_isolated_toughness_variant(g)
     verdict = requirement_check(g, k, scope, value=exact.value)
-    factor = has_fractional_factor(g, FactorSpec.k_factor(k))
-    if verdict.accepted and not factor:
-        raise ConsistencyError(
-            "accepted graph lacks a fractional factor: "
-            f"n={g.n} bits={g.bits()} k={k} delta={verdict.delta} "
-            f"value={exact.value}")
+    if verdict.accepted:
+        require_factor(g, k, verdict.delta, exact.value)
+        factor = True
+    else:
+        factor = has_fractional_factor(g, FactorSpec.k_factor(k))
     return FactorCertificate(delta=verdict.delta, i_prime=exact.value,
                              bound=verdict.bound, accepted=verdict.accepted,
                              reason=verdict.reason, factor_exists=factor,

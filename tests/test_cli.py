@@ -345,7 +345,7 @@ def test_solve_seed_changes_output(capsys, tmp_path):
 
 def test_solve_factor_disagreement_exits_four(capsys, tmp_path, monkeypatch):
     # an accepted graph whose fractional k-factor the flow cannot build
-    monkeypatch.setattr("isotough.evolve.has_fractional_factor",
+    monkeypatch.setattr("isotough.factors.has_fractional_factor",
                         lambda g, spec: False)
     assert main(SOLVE_FAST + ["--out", str(tmp_path / "run")]) == 4
     captured = capsys.readouterr()
