@@ -2,11 +2,12 @@
 How tight is the pseudo-greedy screening estimate?
 ==================================================
 
-The evolutionary loop cannot afford an exact toughness computation per
-candidate, so it screens with a pseudo-greedy deletion heuristic that
-only ever errs upward.  This script samples random graphs, compares the
-estimate with the exact value, and tallies how often and by how much the
-screen overshoots.
+The paper's evolutionary loop screens every candidate with a pseudo-greedy
+deletion heuristic that only ever errs upward, and verifies the passers
+exactly.  The solver here scores candidates with the exact engine up to
+`--exact-verify-limit` and uses the estimate only above it.  This script
+samples random graphs, compares the estimate with the exact value, and
+tallies how often and by how much the estimate overshoots.
 """
 
 from fractions import Fraction
@@ -49,5 +50,6 @@ if overshoots:
     print(f"finite overshoots: {len(overshoots)},"
           f" mean {float(mean):.3f}, worst {format_ratio(worst)}")
 
-# The moral: the screen is optimistic about toughness, never pessimistic,
-# so the exact re-verification pass only ever has to demote candidates.
+# The moral: the estimate is optimistic about toughness, never pessimistic,
+# so a graph it accepts may still fail the exact bound.  That is why the
+# solver files what it accepts above the verify limit as unverified.

@@ -3,8 +3,9 @@
 Given a site count and a per-site capacity, the package searches for
 graphs whose variant isolated toughness strictly clears the
 degree-dependent acceptance bound, verifies every find exactly, certifies
-the promised fractional factor by max-flow, and reduces the archive to a
-diverse set of pairwise non-isomorphic representatives.
+the promised fractional factor by a search on the bipartite double cover,
+and reduces the archive to a diverse set of pairwise non-isomorphic
+representatives.
 """
 
 from .canonical import CanonicalForm, are_isomorphic, canonical_code, \

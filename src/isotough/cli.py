@@ -66,7 +66,6 @@ def _record_json(record) -> dict:
         "generation": record.generation,
         "delta": record.delta,
         "value": format_ratio(record.value),
-        "screening": format_ratio(record.screening),
         "verified": record.verified,
         "bits": record.graph.bits(),
     }

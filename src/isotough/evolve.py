@@ -1,14 +1,14 @@
 """Evolutionary search for graphs meeting the toughness requirement.
 
-Each generation screens the population with the pseudo-greedy estimator,
-re-verifies screening survivors with the exact engine (orders up to the
-verify limit), buckets verified records by minimum degree, and moves each
-bucket's best record into the archive.  Each distinct archived graph is
-certified once more by building its fractional k-factor with the flow
-search; a graph the exact value accepts but the flow cannot factor is a
-ConsistencyError.  The next population comes from
+Each generation scores every individual once: by the cached exact I' at
+orders up to the verify limit, by the pseudo-greedy estimate above it.
+The requirement check and the elite both read that value.  Up to the
+limit, accepted records are bucketed by minimum degree and each bucket's
+best moves into the archive, where the flow search certifies its
+fractional k-factor once more (a mismatch is a ConsistencyError); above
+the limit they go to the unverified list.  The next population comes from
 random non-self pairing, single-point crossover and per-bit mutation, with
-one elite surviving unchanged.
+the elite surviving unchanged.
 
 All randomness is derived from the master seed through per-purpose
 SeedSequence spawn keys (phase, generation, index), so each individual's
@@ -25,7 +25,8 @@ import numpy as np
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
-from .factors import delta_scope, require_factor, requirement_check
+from .factors import check_scope, delta_scope, require_factor, \
+    requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
@@ -63,14 +64,15 @@ class SolverConfig:
             raise ValueError("mutation rate must lie in (0, 1)")
         if not 0.0 < self.counterexample_fraction < 1.0:
             raise ValueError("counterexample fraction must lie in (0, 1)")
+        if self.scope is not None:
+            check_scope(self.n, self.k, self.scope)
 
 
 @dataclass(frozen=True)
 class CandidateRecord:
     graph: Graph
     delta: int
-    value: Ratio            # exact variant toughness when verified
-    screening: Ratio
+    value: Ratio            # exact I' when verified, else the estimate
     generation: int
     verified: bool
 
@@ -81,7 +83,7 @@ class GenerationSummary:
     buckets: dict[int, tuple[CandidateRecord, ...]]
     harvested: dict[int, CandidateRecord]
     screening_rejects: int
-    false_positives: int
+    false_positives: int    # always 0; perfbench/tracer.py still reads it
 
 
 @dataclass(frozen=True)
@@ -188,16 +190,16 @@ def _screen(population: Sequence[Graph], config: SolverConfig,
     return estimates
 
 
-def _elite(population: Sequence[Graph], screenings: Sequence[Ratio],
+def _elite(population: Sequence[Graph], values: Sequence[Ratio],
            passing: Sequence[bool]) -> Graph:
     passers = [i for i in range(len(population)) if passing[i]]
     if passers:
         pick = min(passers,
-                   key=lambda i: (screenings[i], population[i].bits()))
+                   key=lambda i: (values[i], population[i].bits()))
         return population[pick]
     # nobody passes: keep the member closest to clearing the strict bound
-    best = max(screenings)
-    pick = min((i for i, s in enumerate(screenings) if s == best),
+    best = max(values)
+    pick = min((i for i, v in enumerate(values) if v == best),
                key=lambda i: population[i].bits())
     return population[pick]
 
@@ -252,30 +254,26 @@ def run_solver(config: SolverConfig,
             canonical_cache[g.code] = cached
         return cached
 
+    verified = config.n <= config.exact_verify_limit
     for generation in range(config.generations):
-        screenings = _screen(population, config, generation)
-        verdicts = [requirement_check(g, config.k, scope, value=s)
-                    for g, s in zip(population, screenings)]
+        if verified:
+            values = [exact_value(g) for g in population]
+        else:
+            values = _screen(population, config, generation)
+        verdicts = [requirement_check(g, config.k, scope, value=v)
+                    for g, v in zip(population, values)]
         buckets: dict[int, list[CandidateRecord]] = {}
-        false_positives = 0
         rejects = 0
-        for g, screening, verdict in zip(population, screenings, verdicts):
+        for g, value, verdict in zip(population, values, verdicts):
             if not verdict.accepted:
                 rejects += 1
                 continue
-            if config.n <= config.exact_verify_limit:
-                value = exact_value(g)
-                confirm = requirement_check(g, config.k, scope, value=value)
-                if confirm.accepted:
-                    record = CandidateRecord(g, verdict.delta, value,
-                                             screening, generation, True)
-                    buckets.setdefault(verdict.delta, []).append(record)
-                else:
-                    false_positives += 1
+            record = CandidateRecord(g, verdict.delta, value, generation,
+                                     verified)
+            if verified:
+                buckets.setdefault(verdict.delta, []).append(record)
             else:
-                unverified.append(CandidateRecord(
-                    g, verdict.delta, screening, screening, generation,
-                    False))
+                unverified.append(record)
         harvested: dict[int, CandidateRecord] = {}
         for delta in sorted(buckets):
             best = min(buckets[delta],
@@ -290,9 +288,8 @@ def run_solver(config: SolverConfig,
             buckets={d: tuple(records) for d, records in buckets.items()},
             harvested=harvested,
             screening_rejects=rejects,
-            false_positives=false_positives))
-        elite = _elite(population, screenings,
-                       [v.accepted for v in verdicts])
+            false_positives=0))
+        elite = _elite(population, values, [v.accepted for v in verdicts])
         population = _next_population(population, elite, config, generation)
 
     if archive:

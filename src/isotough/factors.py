@@ -172,6 +172,15 @@ def delta_scope(n: int, k: int) -> tuple[int, int]:
     return lo, hi
 
 
+def check_scope(n: int, k: int, scope: tuple[int, int]) -> None:
+    """Raise ScopeError unless the explicit scope meets k <= lo <= hi <= n-1."""
+    lo, hi = scope
+    if not k <= lo <= hi <= n - 1:
+        raise ScopeError(
+            f"scope [{lo}, {hi}] must satisfy {k} <= lo <= hi <= {n - 1}"
+            f" for n={n}, k={k}")
+
+
 def requirement_bound(k: int, delta: int) -> Fraction:
     """Strict lower bound the variant toughness must exceed."""
     t = delta - k
@@ -242,6 +251,8 @@ def certify_requirement(g: Graph, k: int,
     """
     if scope is None:
         scope = (k, max(k, g.n - 1))
+    else:
+        check_scope(g.n, k, scope)
     exact = exact_isolated_toughness_variant(g)
     verdict = requirement_check(g, k, scope, value=exact.value)
     if verdict.accepted:

@@ -34,7 +34,7 @@ import numpy as np
 from .canonical import canonical_code
 from .errors import CapacityError
 from .evolve import SolverConfig, report, run_solver
-from .factors import delta_scope, requirement_bound
+from .factors import check_scope, delta_scope, requirement_bound
 from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
@@ -117,6 +117,8 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
             "pass force to override")
     if scope is None:
         scope = delta_scope(n, k)
+    else:
+        check_scope(n, k, scope)
     started = time.perf_counter()
 
     lo, hi = scope

@@ -6,6 +6,8 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 from isotough.cli import main
 from isotough.graphs import counterexample_family, from_edges, \
     graph_from_json, graph_to_json_text, star
@@ -57,6 +59,26 @@ def test_bits_without_order_is_input_error(capsys):
 def test_empty_scope_is_input_error(capsys):
     assert main(["scope", "--n", "4", "--k", "2"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "6", "--k", "2", "--scope", "4", "2"],
+    ["enumerate", "--n", "6", "--k", "2", "--scope", "1", "3"],
+    ["certify", "--bits", "111111", "--n", "4", "--k", "2",
+     "--scope", "5", "1"],
+])
+def test_explicit_scope_out_of_range_is_input_error(capsys, argv):
+    # an explicit scope must satisfy k <= lo <= hi <= n - 1
+    assert main(argv) == 1
+    assert "lo <= hi" in capsys.readouterr().err
+
+
+def test_solve_rejects_out_of_range_scope_before_searching(capsys, tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--n", "7", "--k", "2", "--scope", "5", "2",
+                 "--out", str(out)]) == 1
+    assert "lo <= hi" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ----- scope ----------------------------------------------------------------
@@ -277,49 +299,49 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
 # update them only for an intended change, and log it.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "dee75a3ecde478e3dc247bf440be64d3a706dcd787d0f4ea50f4f110b6d573ff",
+        "aab0f6984b8d5c847352e8c73708f9104b0e0a49d23ad57d96d50e49ee84c790",
     "selected-0.dot":
-        "677642bdcfeaa221304a4b3ef0cb5705b14926317d8a790695d8e43b9ea3d527",
+        "7f3935b03141cb6cd54894f1b39b2c0c04509a9d3f6c7cb37075a3f528651878",
     "selected-0.json":
-        "aba7c92c579652fe2d27ef715711d0623f5f842143b8008e65a84b8b7d06c9a0",
+        "09d8fb0b41f0867a50867ccf62bb8832ff6556246539b8d85bd4d28623035dfb",
     "selected-1.dot":
-        "b2cd32ad3a8539df6af97151e1dce95cab7169cd4f1d8be56ec4ed3f7241d184",
+        "ff1c38c995e850632e29ad3ce86d06068d2bddd13b31cc7e8fb025bf909a58fd",
     "selected-1.json":
-        "72da1bd45939cfa8e8c5c20da06f0f4c64d4f3ce8f0d304449f222f5b6bc8029",
+        "bb9735a7356e1ff7c54c9de302ee6601dcfbcef689e22c8839d5ead7f5a67f6a",
     "selected-2.dot":
-        "9a62bb5612ba6d944285e1c3f3adfc976f383694b6e8addb8cc895dfcb9e1ffb",
+        "87f707efabd21e8821fab816d97268f6a374ca0a58b1a98d7dd12df2b92ff9cd",
     "selected-2.json":
-        "dce54c917564ec037137177500b82930c6919981dc5d3b5a4b0d7079aa48e568",
+        "90a54425e8944e5ec5fb24c4cf618db1f8faa9da6a690091f04851a09a25b964",
     "selected-3.dot":
-        "5ac4e3534b5176160eb46466e00f1310f70350ddf54e897ce8d8160ea83753bd",
+        "1a5e8cb094154ccf18dd062ad0cb0018a2367a99213db3069b7ce5b79e484f33",
     "selected-3.json":
-        "345aba08712527d3900582555afd90d1c7058213fe52f8400ab0af0b047fb970",
+        "b2297760e3354132169df4f81e132d6751dd47f40ed0ee312129d947ec74e106",
     "selected-4.dot":
-        "95beb6ec4605007f2d699162cc7e875510ab9f7df59e404bc10464d7fd22c396",
+        "8be50a2356c3bb189c0331c0ab533a11a8b3fde15ecf2f2f92f766220e3baf97",
     "selected-4.json":
-        "65c428ba01b6fbe95b5d3a53fddaace58f50d3ef4259fc7a3e05f89e9020074f",
+        "c4f708575c8271bb854d975e6e1e5a43cb6777c563276fefbbd48990dfdda7a0",
     "selected-5.dot":
-        "0ec662280667b98e1c26087b873ace5a1e55d4af2015db6818ab4ad2f6778e04",
+        "06a4897a91358b0e79acfd4301a7091ea256e25a81c88f906edac981ac825a7d",
     "selected-5.json":
-        "1bc080a28cab994986da3c4ed267f342510847945b60d3c0da49066515fbbd95",
+        "764e6a2653ee921e5b19fc4dd3acfdeb3a5cc433439bfd01a33c268d11b8cc76",
     "selected-6.dot":
-        "a83fe8df013f9e4b819a99aa6f3606501a44ed432167363a3a1b298a98416759",
+        "617e427e0a7e316d50a6367f485b7ec30cabf7dd1de0ca73851d5980f781d0bd",
     "selected-6.json":
-        "6be5c3ad5c1cf2cb7f9b533583acfb1cede4d788bac21a98cd31ff1abd3424be",
+        "2cb3e311fbe18d38b51491c67532109bff51c408d62b27f3b4fc59b610326ca3",
     "selected-7.dot":
-        "45e103fd5425114883158f290f64aef36067f5d283f97abd928dc2b9f5bd3356",
+        "5cdc7586bb99cea7a93128c5b92b96550529ce3505000c3f40e63c0096cb2c7c",
     "selected-7.json":
-        "44f7234cb0c21a04c4bd93516e611fea84de5987827a72c557833580f52209b5",
+        "8fb6ce325e468489968f1364dcbbdd274f7d6f1798bd421a944fd653cb565076",
     "selected-8.dot":
-        "d13f0a2ae7fdc7ce7be220f58dbdfb4e927896e2c4efc9216e300faec28c924d",
+        "d08f3f1cbd684cb34b41710dc06ce2416886ee395a85c0176f43f0cf2b9dc96c",
     "selected-8.json":
-        "31aae6ac4922c87155ef0c19a8d2fdeadc8b1dd95fdf63c01ac6149f04e3b8a4",
+        "6b61da7ddf411d0442c0bb540d27664ecfe3afc52f352b2f32c7a29a2115f0d3",
     "selected-9.dot":
-        "21b33655b291827a5a2396d10132c6ad985d5f40b3dab015b87b5967cb6e5607",
+        "c5a338e7369286a77dfd4c8e09d7118c28714506a3109250ce7ae926b35618f4",
     "selected-9.json":
-        "ac984a77e783d7876271c3a84840b5c58d7797d97c5ebb4a851b75e7689b731f",
+        "a10b4ee0b8e9216482385f942bf1c02252ef1f9e226daac9554c2b7eba3bfc76",
     "summary.csv":
-        "e788894d922c8e3038e287098af772361729091368dac21c0951a9ad3301c39b",
+        "94183f7f6de5afde405ad7fff35a51e1150e70c80be35fee1d9164b1e4020e95",
 }
 
 

@@ -176,7 +176,6 @@ def test_archive_is_sound_and_in_scope():
         assert result.scope[0] <= record.delta <= result.scope[1]
         exact = exact_isolated_toughness_variant(record.graph).value
         assert exact == record.value
-        assert record.value <= record.screening
         verdict = requirement_check(record.graph, config.k, result.scope,
                                     value=exact)
         assert verdict.accepted
@@ -234,8 +233,6 @@ def test_explicit_initial_population_does_not_change_results():
     explicit = run_solver(config, population=initial_population(config))
     assert [r.graph for r in implicit.archive] \
         == [r.graph for r in explicit.archive]
-    assert [r.screening for r in implicit.archive] \
-        == [r.screening for r in explicit.archive]
     assert implicit.diversified.selected == explicit.diversified.selected
 
 
@@ -244,6 +241,7 @@ def test_unverified_stream_when_order_above_limit():
                           exact_verify_limit=6)
     result = run_solver(config)
     assert not result.archive  # nothing can be exact-verified
+    assert result.unverified
     for record in result.unverified:
         assert not record.verified
 
@@ -266,6 +264,35 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
     assert {r.graph.code for r in result.archive} <= set(seen)
     assert result.diversified == diversity_enhancement(
         [r.graph for r in result.archive], config.population_size)
+
+
+def test_solver_evaluates_each_distinct_code_once(monkeypatch):
+    # at orders up to the verify limit every individual is scored by the
+    # cached exact engine alone: no screen, one exact call per code
+    def no_screen(g, rng):
+        raise AssertionError("pseudo-greedy screen called below the limit")
+
+    real_exact = evolve.exact_isolated_toughness_variant
+    real_check = evolve.requirement_check
+    exact_calls, checked = [], set()
+
+    def counting_exact(g, **kwargs):
+        exact_calls.append(g.code)
+        return real_exact(g, **kwargs)
+
+    def recording_check(g, *args, **kwargs):
+        checked.add(g.code)
+        return real_check(g, *args, **kwargs)
+
+    monkeypatch.setattr(evolve, "pseudo_greedy_estimate", no_screen)
+    monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
+                        counting_exact)
+    monkeypatch.setattr(evolve, "requirement_check", recording_check)
+    config = SolverConfig(n=7, k=2, generations=30, seed=42)
+    result = run_solver(config)
+    assert result.archive and not result.unverified
+    assert len(exact_calls) == len(set(exact_calls)) == len(checked)
+    assert set(exact_calls) == checked
 
 
 # ----- diversity enhancement ------------------------------------------------
