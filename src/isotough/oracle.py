@@ -14,16 +14,20 @@ nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
 with minimum degree, and keeps one canonical code per class.  Deleting a
 minimum-degree vertex of any graph leaves a class of the order below, so
-no class is lost.
+no class is lost.  Each level's sorted codes are built once per process
+and shared: later calls, from enumerate_exact, explore_minimizers or for
+another k, only wrap them in fresh Graph objects.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters over all isomorphism classes up to order 7 (random
-sampling beyond), checking that minimizers of different cardinality always
-order the same way in both size and isolated count.
+sampling beyond, which needs samples >= 1), checking that minimizers of
+different cardinality always order the same way in both size and isolated
+count.
 """
 
 from __future__ import annotations
 
+import functools
 import platform
 import time
 from dataclasses import dataclass, field, replace
@@ -155,24 +159,32 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
 
     A class of order m comes from one of order m-1 plus a new vertex of
     minimum degree in the result, so only those extensions are labelled.
+    Each level is built once per process and shared by every later call;
+    the returned list is the caller's own.
     """
     if n < 1:
         raise ValueError("need order n >= 1")
-    level = [Graph(1, 0)]
-    for m in range(2, n + 1):
-        seen: set[int] = set()
-        for g in level:
-            base_edges = list(g.edges())
-            degrees = g.degrees
-            for mask in range(1 << (m - 1)):
-                if any(mask.bit_count() > d + (mask >> u & 1)
-                       for u, d in enumerate(degrees)):
-                    continue
-                child = from_edges(m, base_edges + [
-                    (u, m - 1) for u in range(m - 1) if (mask >> u) & 1])
-                seen.add(canonical_code(child))
-        level = [Graph(m, code) for code in sorted(seen)]
-    return level
+    return [Graph(n, code) for code in _level(n)]
+
+
+@functools.cache
+def _level(m: int) -> tuple[int, ...]:
+    """Sorted canonical codes of the classes of order m."""
+    if m == 1:
+        return (0,)
+    seen: set[int] = set()
+    for code in _level(m - 1):
+        g = Graph(m - 1, code)
+        base_edges = list(g.edges())
+        degrees = g.degrees
+        for mask in range(1 << (m - 1)):
+            if any(mask.bit_count() > d + (mask >> u & 1)
+                   for u, d in enumerate(degrees)):
+                continue
+            child = from_edges(m, base_edges + [
+                (u, m - 1) for u in range(m - 1) if (mask >> u) & 1])
+            seen.add(canonical_code(child))
+    return tuple(sorted(seen))
 
 
 # ----- minimizer cardinality survey -----------------------------------------
@@ -224,10 +236,15 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
     """Cross-compare all minimizers of both parameters.
 
     Exhaustive over isomorphism classes up to order 7; orders beyond are
-    spot-checked on seeded random encodings.
+    spot-checked on `samples` seeded random encodings each, so there
+    `samples` must be at least 1.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if n_max > DEFAULT_ENUMERATION_LIMIT and samples < 1:
+        raise ValueError(
+            f"orders above {DEFAULT_ENUMERATION_LIMIT} are sampled: "
+            "need samples >= 1")
     survey = MinimizerSurvey(n_max=n_max, graphs_checked=0, pairs_checked=0,
                              violations=[], differing_examples=[])
     exhaustive_top = min(n_max, DEFAULT_ENUMERATION_LIMIT)

@@ -244,6 +244,14 @@ def test_explore_small_survey(capsys):
     assert "0 violations" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_explore_rejects_unusable_sample_count(samples, capsys):
+    assert main(["explore", "--n-max", "8", "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "samples" in captured.err
+    assert "graphs checked" not in captured.out
+
+
 # ----- solve ----------------------------------------------------------------
 
 SOLVE_FAST = ["solve", "--n", "7", "--k", "2", "--generations", "15"]

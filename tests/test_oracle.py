@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from isotough import oracle
+from isotough.canonical import canonical_code
 from isotough.errors import CapacityError, ScopeError
 from isotough.factors import requirement_bound
 from isotough.graphs import Graph, complete, from_bits, from_edges, \
@@ -139,16 +141,61 @@ def test_min_code_is_smallest_over_all_relabelings():
 # ----- isomorphism class generation -----------------------------------------
 
 def test_nonisomorphic_counts_match_known_sequence():
+    oracle._level.cache_clear()  # test generation, not a warmed cache
     assert [len(nonisomorphic_graphs(n)) for n in range(1, 8)] \
         == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_nonisomorphic_level_is_pairwise_distinct():
-    from isotough.canonical import canonical_code
     level = nonisomorphic_graphs(5)
     codes = [canonical_code(g) for g in level]
     assert len(set(codes)) == len(level)
     assert all(g.n == 5 for g in level)
+
+
+def test_class_levels_are_built_once_per_process(monkeypatch):
+    oracle._level.cache_clear()
+    calls = 0
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return canonical_code(g)
+
+    monkeypatch.setattr(oracle, "canonical_code", counted)
+    enumerate_exact(7, 2)
+    assert calls == 3131  # one per extension labelled, orders 2..7
+    calls = 0
+    enumerate_exact(7, 3)
+    explore_minimizers(7)
+    nonisomorphic_graphs(6)
+    assert calls == 0
+
+
+def test_shared_level_is_not_changed_through_a_returned_list():
+    oracle._level.cache_clear()
+    first = nonisomorphic_graphs(5)
+    expected = list(first)
+    first.pop()
+    first[0] = complete(5)
+    assert nonisomorphic_graphs(5) == expected
+    nonisomorphic_graphs(5).clear()
+    assert nonisomorphic_graphs(5) == expected
+
+
+def test_survey_asks_for_each_order_once(monkeypatch):
+    # the census benchmark taps oracle.nonisomorphic_graphs and relies on
+    # one call per order
+    oracle._level.cache_clear()
+    orders = []
+
+    def tap(n):
+        orders.append(n)
+        return nonisomorphic_graphs(n)
+
+    monkeypatch.setattr(oracle, "nonisomorphic_graphs", tap)
+    explore_minimizers(7)
+    assert orders == [1, 2, 3, 4, 5, 6, 7]
 
 
 # ----- minimizer survey -----------------------------------------------------
@@ -174,6 +221,20 @@ def test_minimizer_survey_samples_beyond_exhaustive_range():
 def test_minimizer_survey_validation():
     with pytest.raises(ValueError):
         explore_minimizers(0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_minimizer_survey_needs_samples_beyond_exhaustive_range(
+        samples, monkeypatch):
+    def unreachable(n):
+        raise AssertionError("validation must come before any work")
+
+    monkeypatch.setattr(oracle, "nonisomorphic_graphs", unreachable)
+    with pytest.raises(ValueError, match="samples"):
+        explore_minimizers(8, samples=samples)
+    # up to the exhaustive range the count is unused
+    monkeypatch.undo()
+    assert not explore_minimizers(4, samples=samples).sampled
 
 
 # ----- benchmark ------------------------------------------------------------
