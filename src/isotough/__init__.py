@@ -28,7 +28,7 @@ from .oracle import BenchmarkReport, EnumerationResult, MinimizerSurvey, \
 from .rational import INFINITY, Ratio, format_ratio, parse_ratio
 from .toughness import PseudoGreedyTrace, ToughnessResult, \
     exact_isolated_toughness, exact_isolated_toughness_variant, \
-    pseudo_greedy_estimate, roulette_select
+    exact_variant_above, pseudo_greedy_estimate, roulette_select
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,8 @@ __all__ = [
     "complete", "counterexample_family", "deduplicate", "delta_scope",
     "disjoint_cliques", "diversity_enhancement", "empty_graph",
     "enumerate_exact", "exact_isolated_toughness",
-    "exact_isolated_toughness_variant", "explore_minimizers",
+    "exact_isolated_toughness_variant", "exact_variant_above",
+    "explore_minimizers",
     "extremal_family", "format_ratio", "fractional_k_factor", "from_bits",
     "from_edges", "graph_from_json", "graph_to_dot", "graph_to_json",
     "graph_to_json_text", "hamming_distance", "has_fractional_factor",

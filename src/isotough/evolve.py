@@ -1,9 +1,15 @@
 """Evolutionary search for graphs meeting the toughness requirement.
 
-Each generation scores every individual once: by the cached exact I' at
-orders up to the verify limit, by the pseudo-greedy estimate above it.
-The requirement check and the elite both read that value.  Up to the
-limit, accepted records are bucketed by minimum degree and each bucket's
+Up to the verify limit, every distinct encoding is decided once per run:
+a minimum degree outside scope rejects it outright, and otherwise the
+early-exit exact search (exact_variant_above) either rejects it at the
+first ratio at or below the bound or returns its exact I'.  Passers keep
+that value for the requirement check, the harvest and the elite.  Only
+in a generation with no passer does the elite need every member's value;
+then the full exact I' is taken, again once per encoding per run.  Above
+the limit every individual is scored by the pseudo-greedy estimate, which
+the requirement check and the elite both read.  Up to the limit,
+accepted records are bucketed by minimum degree and each bucket's
 best moves into the archive, where the flow search certifies its
 fractional k-factor once more (a mismatch is a ConsistencyError); above
 the limit they go to the unverified list.  The next population comes from
@@ -26,12 +32,12 @@ import numpy as np
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
 from .factors import check_scope, delta_scope, require_factor, \
-    requirement_check
+    requirement_bound, requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
 from .toughness import exact_isolated_toughness_variant, \
-    pseudo_greedy_estimate
+    exact_variant_above, pseudo_greedy_estimate
 
 DEFAULT_SEED = 42
 DEFAULT_EXACT_VERIFY_LIMIT = 16
@@ -236,9 +242,22 @@ def run_solver(config: SolverConfig,
     archive: list[CandidateRecord] = []
     unverified: list[CandidateRecord] = []
     summaries: list[GenerationSummary] = []
+    accepted_cache: dict[int, Optional[Ratio]] = {}
     exact_cache: dict[int, Ratio] = {}
     canonical_cache: dict[int, str] = {}
     certified: set[int] = set()
+
+    def accepted_value(g: Graph) -> Optional[Ratio]:
+        # I' if g clears the bound at its degree, else None; the degree
+        # alone rejects it outside scope (and scope starts at k or above)
+        if g.code not in accepted_cache:
+            delta = g.min_degree
+            value = None
+            if scope[0] <= delta <= scope[1]:
+                value = exact_variant_above(
+                    g, requirement_bound(config.k, delta))
+            accepted_cache[g.code] = value
+        return accepted_cache[g.code]
 
     def exact_value(g: Graph) -> Ratio:
         cached = exact_cache.get(g.code)
@@ -257,15 +276,20 @@ def run_solver(config: SolverConfig,
     verified = config.n <= config.exact_verify_limit
     for generation in range(config.generations):
         if verified:
-            values = [exact_value(g) for g in population]
+            values = [accepted_value(g) for g in population]
+            if all(v is None for v in values):
+                # no passer: the elite reads every member's full value
+                values = [exact_value(g) for g in population]
         else:
             values = _screen(population, config, generation)
-        verdicts = [requirement_check(g, config.k, scope, value=v)
+        verdicts = [None if v is None
+                    else requirement_check(g, config.k, scope, value=v)
                     for g, v in zip(population, values)]
+        passing = [v is not None and v.accepted for v in verdicts]
         buckets: dict[int, list[CandidateRecord]] = {}
         rejects = 0
         for g, value, verdict in zip(population, values, verdicts):
-            if not verdict.accepted:
+            if verdict is None or not verdict.accepted:
                 rejects += 1
                 continue
             record = CandidateRecord(g, verdict.delta, value, generation,
@@ -289,7 +313,7 @@ def run_solver(config: SolverConfig,
             harvested=harvested,
             screening_rejects=rejects,
             false_positives=0))
-        elite = _elite(population, values, [v.accepted for v in verdicts])
+        elite = _elite(population, values, passing)
         population = _next_population(population, elite, config, generation)
 
     if archive:

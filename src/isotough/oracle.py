@@ -2,7 +2,9 @@
 
 enumerate_exact scores every isomorphism class of order n from
 nonisomorphic_graphs with the exact engine of `toughness`, the same
-engine the solver verifies with.  For each minimum degree in scope it
+engine the solver verifies with, in its floor mode: a class whose value
+does not clear the acceptance bound is dropped as soon as the search
+finds a ratio at or below it.  For each minimum degree in scope it
 keeps the lowest variant toughness that strictly clears the acceptance
 bound, and as witness the smallest labelled encoding over every
 relabeling of the classes that reach it.  That witness is the minimum
@@ -42,7 +44,7 @@ from .factors import check_scope, delta_scope, requirement_bound
 from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
-    exact_isolated_toughness_variant
+    exact_isolated_toughness_variant, exact_variant_above
 
 DEFAULT_ENUMERATION_LIMIT = 7
 
@@ -131,8 +133,8 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
         d = g.min_degree
         if not lo <= d <= hi:
             continue
-        value = exact_isolated_toughness_variant(g).value
-        if not value > requirement_bound(k, d):
+        value = exact_variant_above(g, requirement_bound(k, d))
+        if value is None:
             continue
         if d not in best or value < best[d][0]:
             best[d] = (value, [g])

@@ -16,6 +16,12 @@ ratio, |N(J)| over |J| + |candidates|, is strictly above the best found
 whole neighbourhood in N(J), which leaves no closed extension.  Ratios
 are compared by integer cross-multiplication.
 
+exact_variant_above runs the same search in floor mode, for callers that
+only need I' when it strictly clears a bound: the search stops at the
+first ratio at or below the floor, the bound cut also drops branches
+that can at best tie the best ratio found, and no minimizers or
+isolated counts are built.
+
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
 whenever a deletion leaves at least two isolated vertices.  Its result is
@@ -33,11 +39,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import CapacityError
 from .graphs import Graph, isolated_count
-from .rational import INFINITY, Ratio
+from .rational import INFINITY, Ratio, is_infinite
 
 DEFAULT_EXACT_LIMIT = 24
 
@@ -49,8 +55,19 @@ class ToughnessResult:
     witness_i: tuple[int, ...]
 
 
-def _independent_set_search(g: Graph, variant: bool,
-                            limit: int) -> ToughnessResult:
+class _AtOrBelowFloor(Exception):
+    """Raised inside the search once a ratio at or below the floor turns
+    up."""
+
+
+def _independent_set_search(g: Graph, variant: bool, limit: int,
+                            floor: Optional[Fraction] = None
+                            ) -> tuple[Ratio, list[int]]:
+    """The minimum ratio and the sorted neighbourhood masks attaining it.
+
+    With a floor no masks are kept, ties are cut, and _AtOrBelowFloor
+    ends the search at the first ratio at or below the floor.
+    """
     n = g.n
     if n < 1:
         raise ValueError("toughness needs at least one vertex")
@@ -59,10 +76,15 @@ def _independent_set_search(g: Graph, variant: bool,
             f"exact toughness is gated to order <= {limit}; "
             "use the pseudo-greedy estimator for larger graphs")
     if g.is_complete():
-        return ToughnessResult(INFINITY, (), ())
+        return INFINITY, []
 
     adj = g.adjacency
     shift = 1 if variant else 0
+    keep = floor is None
+    tie = 0 if keep else 1  # a bound equal to the best is cut iff tie
+    # -1/1 lies below every ratio, so without a floor the stop never fires
+    floor_num, floor_den = (-1, 1) if keep else (floor.numerator,
+                                                 floor.denominator)
     best_num, best_den = -1, 0  # -1/0 stands for INFINITY
     best_masks: set[int] = set()
 
@@ -74,15 +96,18 @@ def _independent_set_search(g: Graph, variant: bool,
         if size >= 2:
             den = size - shift
             if best_num < 0 or covered * best_den < best_num * den:
+                if covered * floor_den <= floor_num * den:
+                    raise _AtOrBelowFloor
                 best_num, best_den = covered, den
-                best_masks.clear()
-                best_masks.add(nbrs)
-            elif covered * best_den == best_num * den:
+                if keep:
+                    best_masks.clear()
+                    best_masks.add(nbrs)
+            elif keep and covered * best_den == best_num * den:
                 best_masks.add(nbrs)
         while cand:
             top = size + cand.bit_count()  # largest |J| left on this branch
-            if top < 2 or (best_num >= 0
-                           and covered * best_den > best_num * (top - shift)):
+            if top < 2 or (best_num >= 0 and covered * best_den + tie
+                           > best_num * (top - shift)):
                 return  # bound cut
             low = cand & -cand
             cand ^= low
@@ -103,26 +128,47 @@ def _independent_set_search(g: Graph, variant: bool,
 
     visit(0, 0, (1 << n) - 1, 0)
     if best_num < 0:
-        return ToughnessResult(INFINITY, (), ())
-    masks = sorted(best_masks)
-    minimizers = tuple(tuple(v for v in range(n) if (mask >> v) & 1)
+        return INFINITY, []
+    return Fraction(best_num, best_den), sorted(best_masks)
+
+
+def _full_result(g: Graph, variant: bool, limit: int) -> ToughnessResult:
+    value, masks = _independent_set_search(g, variant, limit)
+    minimizers = tuple(tuple(v for v in range(g.n) if (mask >> v) & 1)
                        for mask in masks)
     witness = tuple(isolated_count(g, mask) for mask in masks)
-    return ToughnessResult(Fraction(best_num, best_den), minimizers, witness)
+    return ToughnessResult(value, minimizers, witness)
 
 
 def exact_isolated_toughness(g: Graph, *,
                              limit: int = DEFAULT_EXACT_LIMIT
                              ) -> ToughnessResult:
     """min |S| / i(G-S) over S with i(G-S) >= 2, with all minimizers."""
-    return _independent_set_search(g, variant=False, limit=limit)
+    return _full_result(g, variant=False, limit=limit)
 
 
 def exact_isolated_toughness_variant(g: Graph, *,
                                      limit: int = DEFAULT_EXACT_LIMIT
                                      ) -> ToughnessResult:
     """min |S| / (i(G-S) - 1) over S with i(G-S) >= 2."""
-    return _independent_set_search(g, variant=True, limit=limit)
+    return _full_result(g, variant=True, limit=limit)
+
+
+def exact_variant_above(g: Graph, floor: Fraction, *,
+                        limit: int = DEFAULT_EXACT_LIMIT) -> Optional[Ratio]:
+    """I'(g) when it strictly exceeds the finite floor, else None.
+
+    For callers that read the value only when it clears a bound: the
+    search stops at the first ratio at or below the floor and keeps no
+    minimizers.
+    """
+    if is_infinite(floor):
+        raise ValueError("the floor must be finite")
+    try:
+        value, _ = _independent_set_search(g, True, limit, Fraction(floor))
+    except _AtOrBelowFloor:
+        return None
+    return value
 
 
 def roulette_select(degrees: Sequence[int], p: float) -> int:

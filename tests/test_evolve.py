@@ -267,32 +267,59 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 
 
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
-    # at orders up to the verify limit every individual is scored by the
-    # cached exact engine alone: no screen, one exact call per code
+    # at orders up to the verify limit no screen runs; every distinct code
+    # with its degree in scope gets one early-exit search and the others
+    # none; full values are taken only in generations with no passer, at
+    # most once per code.  At (7, 2) seed 2 has no such generation, seeds
+    # 4 and 42 open with several.
     def no_screen(g, rng):
         raise AssertionError("pseudo-greedy screen called below the limit")
 
+    real_above = evolve.exact_variant_above
     real_exact = evolve.exact_isolated_toughness_variant
-    real_check = evolve.requirement_check
-    exact_calls, checked = [], set()
+    real_next = evolve._next_population
+    generation = 0
+    above_calls, full_calls, evaluated = [], [], set()
+
+    def counting_above(g, floor, **kwargs):
+        above_calls.append(g.code)
+        return real_above(g, floor, **kwargs)
 
     def counting_exact(g, **kwargs):
-        exact_calls.append(g.code)
+        full_calls.append((generation, g.code))
         return real_exact(g, **kwargs)
 
-    def recording_check(g, *args, **kwargs):
-        checked.add(g.code)
-        return real_check(g, *args, **kwargs)
+    def recording_next(population, *args):
+        # called once at the end of every generation with its population
+        nonlocal generation
+        evaluated.update(g.code for g in population)
+        generation += 1
+        return real_next(population, *args)
 
     monkeypatch.setattr(evolve, "pseudo_greedy_estimate", no_screen)
+    monkeypatch.setattr(evolve, "exact_variant_above", counting_above)
     monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
                         counting_exact)
-    monkeypatch.setattr(evolve, "requirement_check", recording_check)
-    config = SolverConfig(n=7, k=2, generations=30, seed=42)
-    result = run_solver(config)
-    assert result.archive and not result.unverified
-    assert len(exact_calls) == len(set(exact_calls)) == len(checked)
-    assert set(exact_calls) == checked
+    monkeypatch.setattr(evolve, "_next_population", recording_next)
+    for seed, expect_fallback in ((2, False), (4, True), (42, True)):
+        generation = 0
+        above_calls.clear()
+        full_calls.clear()
+        evaluated.clear()
+        result = run_solver(SolverConfig(n=7, k=2, generations=30,
+                                         seed=seed))
+        assert result.archive and not result.unverified
+        lo, hi = result.scope
+        in_scope = {code for code in evaluated
+                    if lo <= Graph(7, code).min_degree <= hi}
+        assert len(above_calls) == len(set(above_calls))
+        assert set(above_calls) == in_scope
+        no_passer = {s.generation for s in result.generations
+                     if not s.buckets}
+        assert {gen for gen, _ in full_calls} <= no_passer
+        full_codes = [code for _, code in full_calls]
+        assert len(full_codes) == len(set(full_codes))
+        assert bool(full_calls) == bool(no_passer) == expect_fallback
 
 
 # ----- diversity enhancement ------------------------------------------------

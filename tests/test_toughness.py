@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isotough.errors import CapacityError
+from isotough.factors import requirement_bound
 from isotough.graphs import (
     Graph,
     clique_join_singles,
@@ -26,10 +27,12 @@ from isotough.graphs import (
     star,
     vertex_mask,
 )
+from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import (
     exact_isolated_toughness,
     exact_isolated_toughness_variant,
+    exact_variant_above,
     pseudo_greedy_estimate,
     roulette_select,
 )
@@ -226,6 +229,73 @@ def test_variant_beats_plain_on_shared_sets(g):
         if subset:
             assert Fraction(len(subset), iso - 1) \
                 > Fraction(len(subset), iso)
+
+
+# ----- floor mode -------------------------------------------------------------
+
+def floors_for(g, value):
+    """The value itself (pins strictness), a hair either side of it when
+    finite, and the acceptance bound for each k in {2, 3} the degree
+    admits."""
+    floors = []
+    if value != INFINITY:
+        floors += [value, value - Fraction(1, 97), value + Fraction(1, 97)]
+    floors += [requirement_bound(k, g.min_degree) for k in (2, 3)
+               if k <= g.min_degree]
+    return floors
+
+
+def assert_floor_mode_agrees(g):
+    value = exact_isolated_toughness_variant(g).value
+    for floor in floors_for(g, value):
+        expected = value if value > floor else None
+        assert exact_variant_above(g, floor) == expected, (g, floor)
+
+
+@given(graphs(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_floor_mode_matches_full_engine(g):
+    assert_floor_mode_agrees(g)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12, 13])
+def test_floor_mode_matches_full_engine_on_seeded_graphs(n):
+    rng = random.Random(n)
+    for p in (0.15, 0.3, 0.7, 0.9):
+        code = sum(1 << b for b in range(pair_count(n)) if rng.random() < p)
+        assert_floor_mode_agrees(Graph(n, code))
+
+
+def test_floor_mode_matches_full_engine_on_order_seven_classes():
+    classes = nonisomorphic_graphs(7)
+    assert len(classes) == 1044
+    for g in classes:
+        assert_floor_mode_agrees(g)
+
+
+def test_floor_mode_on_complete_graphs_is_infinite():
+    for n in range(1, 8):
+        assert exact_variant_above(complete(n), Fraction(1000)) == INFINITY
+
+
+def test_floor_mode_gates():
+    with pytest.raises(CapacityError):
+        exact_variant_above(Graph(25, 0), Fraction(0))
+    assert exact_variant_above(Graph(25, 1), Fraction(-1), limit=25) == 0
+    with pytest.raises(ValueError):
+        exact_variant_above(Graph(0, 0), Fraction(0))
+    with pytest.raises(ValueError):
+        exact_variant_above(Graph(5, 0), INFINITY)
+
+
+@pytest.mark.parametrize("g", [
+    from_edges(24, [(v, (v + 1) % 24) for v in range(24)]),
+    disjoint_cliques(12, 2),
+], ids=["C24", "matching24"])
+def test_floor_mode_at_order_24(g):
+    value = Fraction(12, 11)
+    assert exact_variant_above(g, value - Fraction(1, 10 ** 6)) == value
+    assert exact_variant_above(g, value) is None
 
 
 # ----- roulette selection ---------------------------------------------------
