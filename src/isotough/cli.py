@@ -71,7 +71,7 @@ def _record_json(record) -> dict:
     }
 
 
-def _manifest(result: RunResult, summary) -> dict:
+def _manifest(result: RunResult, summary, i_primes: dict[int, str]) -> dict:
     config = result.config
     generations = []
     for entry in result.generations:
@@ -84,11 +84,6 @@ def _manifest(result: RunResult, summary) -> dict:
             "screening_rejects": entry.screening_rejects,
             "false_positives": entry.false_positives,
         })
-    values = {r.graph.code: r.value for r in result.archive}
-    diversified = []
-    for g in result.diversified.selected:
-        i_prime = format_ratio(values[g.code]) if g.code in values else None
-        diversified.append(graph_to_json(g, i_prime))
     return {
         "config": {
             "n": config.n,
@@ -104,7 +99,8 @@ def _manifest(result: RunResult, summary) -> dict:
         "generations": generations,
         "archive": [_record_json(r) for r in result.archive],
         "unverified": [_record_json(r) for r in result.unverified],
-        "diversified": diversified,
+        "diversified": [graph_to_json(g, i_primes[g.code])
+                        for g in result.diversified.selected],
         "optima": {str(d): None if v is None else format_ratio(v)
                    for d, v in summary.optima.items()},
         "counts": {str(d): c for d, c in summary.counts.items()},
@@ -125,11 +121,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     result = run_solver(config)
     summary = report(result)
 
+    # diversity_enhancement picks only from the archive, so every selected
+    # graph has its exact I' here
+    i_primes = {r.graph.code: format_ratio(r.value) for r in result.archive}
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(
-        json.dumps(_manifest(result, summary), indent=2, sort_keys=True)
-        + "\n")
+        json.dumps(_manifest(result, summary, i_primes), indent=2,
+                   sort_keys=True) + "\n")
 
     with (out / "summary.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -140,11 +139,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "Null" if value is None else format_ratio(value),
                              summary.counts[delta]])
 
-    values = {r.graph.code: r.value for r in result.archive}
     for rank, g in enumerate(result.diversified.selected):
-        i_prime = format_ratio(values[g.code]) if g.code in values else None
         (out / f"selected-{rank}.json").write_text(
-            graph_to_json_text(g, i_prime))
+            graph_to_json_text(g, i_primes[g.code]))
         (out / f"selected-{rank}.dot").write_text(graph_to_dot(g))
 
     print(f"scope {result.scope[0]}..{result.scope[1]}")

@@ -1,9 +1,9 @@
 """Evolutionary search for graphs meeting the toughness requirement.
 
-Up to the verify limit, every distinct encoding is decided once per run:
-a minimum degree outside scope rejects it outright, and otherwise the
-early-exit exact search (exact_variant_above) either rejects it at the
-first ratio at or below the bound or returns its exact I'.  Passers keep
+Up to the verify limit, every distinct encoding is decided once per run
+by factors.accepted_value: a minimum degree outside scope rejects it
+outright, and otherwise the early-exit exact search either rejects it at
+the first ratio at or below the bound or returns its exact I'.  Passers keep
 that value for the requirement check, the harvest and the elite.  Only
 in a generation with no passer does the elite need every member's value;
 then the full exact I' is taken, again once per encoding per run.  Above
@@ -31,13 +31,13 @@ import numpy as np
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
-from .factors import check_scope, delta_scope, require_factor, \
-    requirement_bound, requirement_check
+from .factors import accepted_value, check_scope, delta_scope, \
+    require_factor, requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
 from .toughness import exact_isolated_toughness_variant, \
-    exact_variant_above, pseudo_greedy_estimate
+    pseudo_greedy_estimate
 
 DEFAULT_SEED = 42
 DEFAULT_EXACT_VERIFY_LIMIT = 16
@@ -247,16 +247,9 @@ def run_solver(config: SolverConfig,
     canonical_cache: dict[int, str] = {}
     certified: set[int] = set()
 
-    def accepted_value(g: Graph) -> Optional[Ratio]:
-        # I' if g clears the bound at its degree, else None; the degree
-        # alone rejects it outside scope (and scope starts at k or above)
+    def accepted(g: Graph) -> Optional[Ratio]:
         if g.code not in accepted_cache:
-            delta = g.min_degree
-            value = None
-            if scope[0] <= delta <= scope[1]:
-                value = exact_variant_above(
-                    g, requirement_bound(config.k, delta))
-            accepted_cache[g.code] = value
+            accepted_cache[g.code] = accepted_value(g, config.k, scope)
         return accepted_cache[g.code]
 
     def exact_value(g: Graph) -> Ratio:
@@ -276,7 +269,7 @@ def run_solver(config: SolverConfig,
     verified = config.n <= config.exact_verify_limit
     for generation in range(config.generations):
         if verified:
-            values = [accepted_value(g) for g in population]
+            values = [accepted(g) for g in population]
             if all(v is None for v in values):
                 # no passer: the elite reads every member's full value
                 values = [exact_value(g) for g in population]

@@ -29,7 +29,7 @@ from typing import Optional
 from .errors import ConsistencyError, ScopeError
 from .graphs import Graph
 from .rational import Ratio
-from .toughness import exact_isolated_toughness_variant
+from .toughness import exact_isolated_toughness_variant, exact_variant_above
 
 
 @dataclass(frozen=True)
@@ -187,6 +187,18 @@ def requirement_bound(k: int, delta: int) -> Fraction:
     if t < 0:
         raise ValueError("bound undefined below minimum degree k")
     return Fraction(k) + Fraction(k - 1, t + 1)
+
+
+def accepted_value(g: Graph, k: int, scope: tuple[int, int]
+                   ) -> Optional[Ratio]:
+    """I'(g) when g is accepted, else None: its minimum degree lies in
+    scope (whose lower end is k or above) and the early-exit exact search
+    finds its variant toughness strictly above the bound.  A degree out
+    of scope rejects with no search."""
+    delta = g.min_degree
+    if not scope[0] <= delta <= scope[1]:
+        return None
+    return exact_variant_above(g, requirement_bound(k, delta))
 
 
 @dataclass(frozen=True)

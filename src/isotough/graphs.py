@@ -40,19 +40,6 @@ def edge_index(u: int, v: int, n: int) -> int:
     return row_start + (v - u - 1)
 
 
-def index_pair(position: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    if not 0 <= position < pair_count(n):
-        raise ValueError(f"bit position out of range for order {n}: {position}")
-    u = 0
-    row = n - 1
-    while position >= row:
-        position -= row
-        u += 1
-        row -= 1
-    return u, u + 1 + position
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph; `code` packs the upper-triangular bit string."""
@@ -114,10 +101,14 @@ class Graph:
         return bool((self.code >> edge_index(u, v, self.n)) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in bit-position order."""
-        for position in range(pair_count(self.n)):
-            if (self.code >> position) & 1:
-                yield index_pair(position, self.n)
+        """Edges in bit-position order: row u of the adjacency shifted
+        down by u + 1 holds the pairs (u, v), v > u, in ascending v."""
+        for u, mask in enumerate(self.adjacency):
+            row = mask >> (u + 1)
+            while row:
+                low = row & -row
+                yield u, u + low.bit_length()
+                row ^= low
 
     def bits(self) -> str:
         """The encoding as a 0/1 string, bit position 0 first."""
@@ -257,11 +248,15 @@ def extremal_family(k: int, l: int) -> Graph:
 # ----- serialization --------------------------------------------------------
 
 def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
-    """JSON-ready dict; computes the variant toughness unless supplied."""
+    """JSON-ready dict; computes the variant toughness unless supplied,
+    and writes null for it when the exact engine refuses the order."""
     from .rational import format_ratio
     if i_prime is None:
         from .toughness import exact_isolated_toughness_variant
-        i_prime = format_ratio(exact_isolated_toughness_variant(g).value)
+        try:
+            i_prime = format_ratio(exact_isolated_toughness_variant(g).value)
+        except CapacityError:
+            pass
     return {
         "n": g.n,
         "bits": g.bits(),

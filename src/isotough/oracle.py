@@ -40,11 +40,11 @@ import numpy as np
 from .canonical import canonical_code
 from .errors import CapacityError
 from .evolve import SolverConfig, report, run_solver
-from .factors import check_scope, delta_scope, requirement_bound
+from .factors import accepted_value, check_scope, delta_scope
 from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
-    exact_isolated_toughness_variant, exact_variant_above
+    exact_isolated_toughness_variant
 
 DEFAULT_ENUMERATION_LIMIT = 7
 
@@ -130,12 +130,10 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
     lo, hi = scope
     best: dict[int, tuple[Ratio, list[Graph]]] = {}
     for g in nonisomorphic_graphs(n):
-        d = g.min_degree
-        if not lo <= d <= hi:
-            continue
-        value = exact_variant_above(g, requirement_bound(k, d))
+        value = accepted_value(g, k, scope)
         if value is None:
             continue
+        d = g.min_degree
         if d not in best or value < best[d][0]:
             best[d] = (value, [g])
         elif value == best[d][0]:

@@ -71,12 +71,12 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     n = g.n
     if n < 1:
         raise ValueError("toughness needs at least one vertex")
+    if g.is_complete():  # no qualifying S at any order
+        return INFINITY, []
     if n > limit:
         raise CapacityError(
             f"exact toughness is gated to order <= {limit}; "
             "use the pseudo-greedy estimator for larger graphs")
-    if g.is_complete():
-        return INFINITY, []
 
     adj = g.adjacency
     shift = 1 if variant else 0

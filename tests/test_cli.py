@@ -140,6 +140,17 @@ def test_family_writes_file(capsys, tmp_path):
     assert graph_from_json(path.read_text()) == star(4)
 
 
+@pytest.mark.parametrize("argv", [["complete", "--n", "30"],
+                                  ["star", "--n", "40"],
+                                  ["cliques", "--m", "9", "--b", "3"]])
+def test_family_above_the_exact_order_gate(argv, capsys):
+    # complete graphs are infinite at any order; the others are beyond the
+    # exact engine's order gate, so their I' is written as null
+    assert main(["family", *argv]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["i_prime"] == ("inf" if argv[0] == "complete" else None)
+
+
 def test_family_missing_parameter(capsys):
     assert main(["family", "counterexample", "--k", "2"]) == 1
     assert "--t" in capsys.readouterr().err

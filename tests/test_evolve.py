@@ -268,22 +268,21 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
     # at orders up to the verify limit no screen runs; every distinct code
-    # with its degree in scope gets one early-exit search and the others
-    # none; full values are taken only in generations with no passer, at
-    # most once per code.  At (7, 2) seed 2 has no such generation, seeds
+    # gets one acceptance decision; full values are taken only in
+    # generations with no passer, at most once per code.  At (7, 2) seed 2 has no such generation, seeds
     # 4 and 42 open with several.
     def no_screen(g, rng):
         raise AssertionError("pseudo-greedy screen called below the limit")
 
-    real_above = evolve.exact_variant_above
+    real_accepted = evolve.accepted_value
     real_exact = evolve.exact_isolated_toughness_variant
     real_next = evolve._next_population
     generation = 0
-    above_calls, full_calls, evaluated = [], [], set()
+    accepted_calls, full_calls, evaluated = [], [], set()
 
-    def counting_above(g, floor, **kwargs):
-        above_calls.append(g.code)
-        return real_above(g, floor, **kwargs)
+    def counting_accepted(g, k, scope):
+        accepted_calls.append(g.code)
+        return real_accepted(g, k, scope)
 
     def counting_exact(g, **kwargs):
         full_calls.append((generation, g.code))
@@ -297,23 +296,20 @@ def test_solver_evaluates_each_distinct_code_once(monkeypatch):
         return real_next(population, *args)
 
     monkeypatch.setattr(evolve, "pseudo_greedy_estimate", no_screen)
-    monkeypatch.setattr(evolve, "exact_variant_above", counting_above)
+    monkeypatch.setattr(evolve, "accepted_value", counting_accepted)
     monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
                         counting_exact)
     monkeypatch.setattr(evolve, "_next_population", recording_next)
     for seed, expect_fallback in ((2, False), (4, True), (42, True)):
         generation = 0
-        above_calls.clear()
+        accepted_calls.clear()
         full_calls.clear()
         evaluated.clear()
         result = run_solver(SolverConfig(n=7, k=2, generations=30,
                                          seed=seed))
         assert result.archive and not result.unverified
-        lo, hi = result.scope
-        in_scope = {code for code in evaluated
-                    if lo <= Graph(7, code).min_degree <= hi}
-        assert len(above_calls) == len(set(above_calls))
-        assert set(above_calls) == in_scope
+        assert len(accepted_calls) == len(set(accepted_calls))
+        assert set(accepted_calls) == evaluated
         no_passer = {s.generation for s in result.generations
                      if not s.buckets}
         assert {gen for gen, _ in full_calls} <= no_passer

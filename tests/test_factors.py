@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isotough import factors
 from isotough.errors import ScopeError
 from isotough.factors import (
     FactorSpec,
     _double_cover_arcs,
+    accepted_value,
     certify_requirement,
     delta_scope,
     fractional_k_factor,
@@ -189,6 +191,28 @@ def test_requirement_check_uses_supplied_screening_value():
     assert opinion.accepted  # screening value taken at face value
     with pytest.raises(ValueError):
         requirement_check(g, 1, (2, 4))
+
+
+def test_accepted_value_agrees_with_the_requirement_check():
+    for n in range(4, 8):
+        for g in nonisomorphic_graphs(n):
+            for k in (2, 3):
+                scope = (k, max(k, n - 1))
+                verdict = requirement_check(g, k, scope)
+                value = accepted_value(g, k, scope)
+                assert (value is not None) == verdict.accepted
+                if verdict.accepted:
+                    assert value == verdict.value
+
+
+def test_accepted_value_rejects_out_of_scope_degree_with_no_search(
+        monkeypatch):
+    def no_search(g, floor):
+        raise AssertionError("searched a graph whose degree is out of scope")
+
+    monkeypatch.setattr(factors, "exact_variant_above", no_search)
+    assert accepted_value(complete(5), 2, (2, 3)) is None
+    assert accepted_value(star(5), 2, (2, 3)) is None
 
 
 # ----- certification --------------------------------------------------------

@@ -26,7 +26,6 @@ from isotough.graphs import (
     graph_to_json,
     graph_to_json_text,
     hamming_distance,
-    index_pair,
     isolated_count,
     join,
     pair_count,
@@ -60,12 +59,13 @@ def test_edge_index_rejects_bad_pairs():
         edge_index(0, 5, 5)
 
 
-@given(st.integers(2, 12), st.data())
-def test_edge_index_bijection(n, data):
-    position = data.draw(st.integers(0, pair_count(n) - 1))
-    u, v = index_pair(position, n)
-    assert 0 <= u < v < n
-    assert edge_index(u, v, n) == position
+@given(st.integers(0, 64), st.data())
+def test_edges_walk_set_bits_in_position_order(n, data):
+    code = data.draw(st.integers(0, (1 << pair_count(n)) - 1))
+    g = Graph(n, code)
+    positions = [p for p in range(pair_count(n)) if code >> p & 1]
+    assert [edge_index(u, v, n) for u, v in g.edges()] == positions
+    assert all(0 <= u < v < n for u, v in g.edges())
 
 
 def test_worked_example_decodes_to_expected_degrees():
