@@ -10,25 +10,20 @@ samples random graphs, compares the estimate with the exact value, and
 tallies how often and by how much the estimate overshoots.
 """
 
+import random
 from fractions import Fraction
-
-import numpy as np
 
 from isotough import (Graph, INFINITY, exact_isolated_toughness_variant,
                       format_ratio, pair_count, pseudo_greedy_estimate)
 
-rng = np.random.default_rng(2024)
+rng = random.Random(2024)
 samples = 400
 exact_hits = 0
 overshoots = []
 
 for _ in range(samples):
-    n = int(rng.integers(5, 11))
-    draws = rng.random(pair_count(n))
-    code = 0
-    for at in np.flatnonzero(draws < 0.5):
-        code |= 1 << int(at)
-    g = Graph(n, code)
+    n = rng.randint(5, 10)
+    g = Graph(n, rng.getrandbits(pair_count(n)))  # each pair with p = 1/2
 
     estimate = pseudo_greedy_estimate(g, rng).estimate
     exact = exact_isolated_toughness_variant(g).value

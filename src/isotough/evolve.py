@@ -16,18 +16,21 @@ the limit they go to the unverified list.  The next population comes from
 random non-self pairing, single-point crossover and per-bit mutation, with
 the elite surviving unchanged.
 
-All randomness is derived from the master seed through per-purpose
-SeedSequence spawn keys (phase, generation, index), so each individual's
-draws do not depend on the order in which the population is evaluated.
+All randomness comes from random.Random streams, one per purpose, each
+seeded with the string "seed:phase:generation:index"; CPython hashes a
+string seed with SHA-512, so the streams stay apart, and each
+individual's draws do not depend on the order in which the population is
+evaluated.  Every draw is a call to random(), whose sequence CPython
+keeps fixed across versions, so equal flags give equal results on every
+supported Python.
 """
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
@@ -70,6 +73,8 @@ class SolverConfig:
             raise ValueError("mutation rate must lie in (0, 1)")
         if not 0.0 < self.counterexample_fraction < 1.0:
             raise ValueError("counterexample fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.scope is not None:
             check_scope(self.n, self.k, self.scope)
 
@@ -117,32 +122,32 @@ class RunResult:
 
 
 def _stream(seed: int, phase: int, generation: int, index: int
-            ) -> np.random.Generator:
-    sequence = np.random.SeedSequence(seed,
-                                      spawn_key=(phase, generation, index))
-    return np.random.Generator(np.random.PCG64(sequence))
+            ) -> random.Random:
+    return random.Random(f"{seed}:{phase}:{generation}:{index}")
 
 
 def flip_bits(g: Graph, mask: int) -> Graph:
     return Graph(g.n, g.code ^ mask)
 
 
-def _bernoulli_mask(rng: np.random.Generator, length: int,
-                    rate: float) -> int:
+def _bernoulli_mask(rng: random.Random, length: int, rate: float) -> int:
     """Bit p set when the p-th of `length` uniform draws is below rate."""
-    hits = rng.random(length) < rate
-    return int.from_bytes(np.packbits(hits, bitorder="little").tobytes(),
-                          "little")
+    draw = rng.random
+    mask = 0
+    for position in range(length):
+        if draw() < rate:
+            mask |= 1 << position
+    return mask
 
 
-def binary_mutation(g: Graph, rate: float, rng: np.random.Generator) -> Graph:
+def binary_mutation(g: Graph, rate: float, rng: random.Random) -> Graph:
     """Flip each encoded bit independently with the given probability."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
     return flip_bits(g, _bernoulli_mask(rng, pair_count(g.n), rate))
 
 
-def single_point_crossover(g1: Graph, g2: Graph, rng: np.random.Generator
+def single_point_crossover(g1: Graph, g2: Graph, rng: random.Random
                            ) -> tuple[Graph, Graph]:
     """Swap the tails of two equal-order encodings at a uniform cut."""
     if g1.n != g2.n:
@@ -150,7 +155,7 @@ def single_point_crossover(g1: Graph, g2: Graph, rng: np.random.Generator
     length = pair_count(g1.n)
     if length < 2:
         raise ValueError("crossover needs at least two encoded bits")
-    cut = int(rng.integers(1, length))  # both extremes excluded
+    cut = 1 + int(rng.random() * (length - 1))  # both extremes excluded
     low = (1 << cut) - 1
     high = ((1 << length) - 1) ^ low
     return (Graph(g1.n, (g1.code & low) | (g2.code & high)),
@@ -214,7 +219,10 @@ def _next_population(population: Sequence[Graph], elite: Graph,
                      config: SolverConfig, generation: int) -> list[Graph]:
     rng = _stream(config.seed, _PHASE_BREED, generation, 0)
     size = len(population)
-    order = [int(i) for i in rng.permutation(size)]
+    order = list(range(size))
+    for at in range(size - 1, 0, -1):  # Fisher-Yates
+        swap = int(rng.random() * (at + 1))
+        order[at], order[swap] = order[swap], order[at]
     offspring: list[Graph] = []
     for at in range(0, size - 1, 2):
         first, second = population[order[at]], population[order[at + 1]]

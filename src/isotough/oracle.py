@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import functools
 import platform
+import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-import numpy as np
-
 from .canonical import canonical_code
 from .errors import CapacityError
-from .evolve import SolverConfig, report, run_solver
+from .evolve import SolverConfig, _bernoulli_mask, report, run_solver
 from .factors import accepted_value, check_scope, delta_scope
 from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
@@ -241,6 +240,8 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if n_max > DEFAULT_ENUMERATION_LIMIT and samples < 1:
         raise ValueError(
             f"orders above {DEFAULT_ENUMERATION_LIMIT} are sampled: "
@@ -253,15 +254,10 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
             _survey_graph(g, survey)
     if n_max > DEFAULT_ENUMERATION_LIMIT:
         survey.sampled = True
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed)))
+        rng = random.Random(seed)
         for n in range(DEFAULT_ENUMERATION_LIMIT + 1, n_max + 1):
-            length = pair_count(n)
             for _ in range(samples):
-                draws = rng.random(length)
-                code = 0
-                for at in np.flatnonzero(draws < 0.5):
-                    code |= 1 << int(at)
+                code = _bernoulli_mask(rng, pair_count(n), 0.5)
                 _survey_graph(Graph(n, code), survey)
     return survey
 

@@ -3,11 +3,16 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import isotough
 from isotough.cli import main
 from isotough.graphs import counterexample_family, from_edges, \
     graph_from_json, graph_to_json_text, star
@@ -263,6 +268,20 @@ def test_explore_rejects_unusable_sample_count(samples, capsys):
     assert "graphs checked" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "7", "--k", "2", "--seed", "-1"],
+    ["explore", "--n-max", "8", "--seed", "-3"]])
+def test_negative_seed_is_input_error(argv, capsys, tmp_path):
+    out = tmp_path / "run"
+    if argv[0] == "solve":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "seed must be non-negative" in captured.err
+    assert "graphs checked" not in captured.out
+    assert not out.exists()
+
+
 # ----- solve ----------------------------------------------------------------
 
 SOLVE_FAST = ["solve", "--n", "7", "--k", "2", "--generations", "15"]
@@ -315,52 +334,54 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
 
 # sha256 of every file `solve --n 12 --k 3 --seed 42` writes.  A screening,
 # breeding or output change that alters any result changes one of these;
-# update them only for an intended change, and log it.
+# update them only for an intended change, and log it.  Every draw is a
+# random.Random().random() call, so the files match under every supported
+# Python.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "aab0f6984b8d5c847352e8c73708f9104b0e0a49d23ad57d96d50e49ee84c790",
+        "36e37852e9ae48bf46f0295a733926d89b8548ab34db09de643e2afa1cefefba",
     "selected-0.dot":
-        "7f3935b03141cb6cd54894f1b39b2c0c04509a9d3f6c7cb37075a3f528651878",
+        "289a1758a661e1722fd8aadd8253cd0b4aeae43aabfb5959ee6e31c3cfe55e49",
     "selected-0.json":
-        "09d8fb0b41f0867a50867ccf62bb8832ff6556246539b8d85bd4d28623035dfb",
+        "892f5e56515147dcd56827d3aeb8007aef56f52034a0eb08021c5f89d4c290a2",
     "selected-1.dot":
-        "ff1c38c995e850632e29ad3ce86d06068d2bddd13b31cc7e8fb025bf909a58fd",
+        "a12d0f7d1891ef4a9cb21ca28e8af22c912ad9ead5b051f2d693d01177efe9f2",
     "selected-1.json":
-        "bb9735a7356e1ff7c54c9de302ee6601dcfbcef689e22c8839d5ead7f5a67f6a",
+        "ebd3ec28661daa1ac297555321ae942d3fc0d40062a89c6644044db71ad5863a",
     "selected-2.dot":
-        "87f707efabd21e8821fab816d97268f6a374ca0a58b1a98d7dd12df2b92ff9cd",
+        "a5f46ebe047b9cd33308c3320d9e6e0dfe01a598411f949bd7479c78cb19789e",
     "selected-2.json":
-        "90a54425e8944e5ec5fb24c4cf618db1f8faa9da6a690091f04851a09a25b964",
+        "f691c7af3f4f0f4bf302a1eff833128569cd6d6b3115e7a59121234f25ee5583",
     "selected-3.dot":
-        "1a5e8cb094154ccf18dd062ad0cb0018a2367a99213db3069b7ce5b79e484f33",
+        "52c174244106b037b8c44f8f486260d5423963863bf156b658238e48cc3fcb20",
     "selected-3.json":
-        "b2297760e3354132169df4f81e132d6751dd47f40ed0ee312129d947ec74e106",
+        "9036ce6f489ec52668e2b767884b71c75f96acd0db50b0585c412dd6916e4cd8",
     "selected-4.dot":
-        "8be50a2356c3bb189c0331c0ab533a11a8b3fde15ecf2f2f92f766220e3baf97",
+        "c5801a00124afb81a42c19f1d7e473f018d451e278a6e6f58aa91e556232c5c0",
     "selected-4.json":
-        "c4f708575c8271bb854d975e6e1e5a43cb6777c563276fefbbd48990dfdda7a0",
+        "f787dc96541e63c19a32bcbb05a66f3e72456daeab8a3ba5e51e7e450e8f550a",
     "selected-5.dot":
-        "06a4897a91358b0e79acfd4301a7091ea256e25a81c88f906edac981ac825a7d",
+        "9aaaf76991b1904675e74d6634be381dbd0cfc00fabe3a9db1a798136f285b31",
     "selected-5.json":
-        "764e6a2653ee921e5b19fc4dd3acfdeb3a5cc433439bfd01a33c268d11b8cc76",
+        "f04ba1652906fbe8d66b768c38923ab1f033e11e961d98ab6353d6fde1ea8683",
     "selected-6.dot":
-        "617e427e0a7e316d50a6367f485b7ec30cabf7dd1de0ca73851d5980f781d0bd",
+        "9493d07d9c73784036ddc10aa9874fbaacbbe2d1b3ccbfe09c5c4a974f494264",
     "selected-6.json":
-        "2cb3e311fbe18d38b51491c67532109bff51c408d62b27f3b4fc59b610326ca3",
+        "fb65155685246f4da3129f135fc362d3abceb2516a6902401991c8b7cf4e4e40",
     "selected-7.dot":
-        "5cdc7586bb99cea7a93128c5b92b96550529ce3505000c3f40e63c0096cb2c7c",
+        "7680daa29fa3ae7e2b3418cf57e96a692062f2802c9e3eefd4e93a8958e25c33",
     "selected-7.json":
-        "8fb6ce325e468489968f1364dcbbdd274f7d6f1798bd421a944fd653cb565076",
+        "91a3267f4ca8b345053fa7b0c439c81f68a632faccc995c6150f4578b3a6e658",
     "selected-8.dot":
-        "d08f3f1cbd684cb34b41710dc06ce2416886ee395a85c0176f43f0cf2b9dc96c",
+        "61b3bd8f9ea571e890bdbb4386f32ced2b9bee21f714328bc600d85565bc6dbf",
     "selected-8.json":
-        "6b61da7ddf411d0442c0bb540d27664ecfe3afc52f352b2f32c7a29a2115f0d3",
+        "bab3e270b0f3033887fc34c5624ff87b539d4e3d748c08af4f2debc7923dd16b",
     "selected-9.dot":
-        "c5a338e7369286a77dfd4c8e09d7118c28714506a3109250ce7ae926b35618f4",
+        "d31c14fd85d0805ca056b3624ceb79c59bbc36def6a6be493ca8e6739b6bc20f",
     "selected-9.json":
-        "a10b4ee0b8e9216482385f942bf1c02252ef1f9e226daac9554c2b7eba3bfc76",
+        "1b35abf98af4c013c411334553f95fc6fc59e88ea6a4325df9c16cccac1a8ea7",
     "summary.csv":
-        "94183f7f6de5afde405ad7fff35a51e1150e70c80be35fee1d9164b1e4020e95",
+        "cfb2d104c8d8b50573ccdc0ac0ca0605724c8151fbe419f6586dbf63511335b2",
 }
 
 
@@ -418,3 +439,29 @@ def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):
         shown = capsys.readouterr().out
         assert f"delta = {entry['delta']}" in shown
         assert f"I' = {entry['i_prime']}" in shown
+
+
+# ----- runtime dependencies -------------------------------------------------
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import isotough
+from isotough.cli import main
+assert main(["solve", "--n", "7", "--k", "2", "--generations", "5",
+             "--out", sys.argv[1]]) == 0
+assert main(["explore", "--n-max", "8", "--samples", "3"]) == 0
+assert main(["enumerate", "--n", "6", "--k", "2"]) == 0
+"""
+
+
+def test_package_runs_without_numpy(tmp_path):
+    source = str(Path(isotough.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY,
+                           str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "manifest.json").exists()
+    assert "graphs checked" in done.stdout

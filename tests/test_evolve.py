@@ -48,25 +48,25 @@ def test_flip_bits_complement():
 
 def test_mutation_rate_zero_is_identity():
     g = from_bits(5, "1111010010")
-    assert binary_mutation(g, 0.0, np.random.default_rng(0)) == g
+    assert binary_mutation(g, 0.0, random.Random(0)) == g
 
 
 def test_mutation_rate_one_complements():
     g = from_bits(5, "1111010010")
-    mutated = binary_mutation(g, 1.0, np.random.default_rng(0))
+    mutated = binary_mutation(g, 1.0, random.Random(0))
     assert mutated.code == g.code ^ ((1 << pair_count(5)) - 1)
 
 
 def test_mutation_is_seed_deterministic():
     g = complete(6)
-    one = binary_mutation(g, 0.3, np.random.default_rng(5))
-    two = binary_mutation(g, 0.3, np.random.default_rng(5))
+    one = binary_mutation(g, 0.3, random.Random(5))
+    two = binary_mutation(g, 0.3, random.Random(5))
     assert one == two
 
 
 def test_crossover_of_identical_parents():
     g = from_bits(5, "1111010010")
-    child1, child2 = single_point_crossover(g, g, np.random.default_rng(1))
+    child1, child2 = single_point_crossover(g, g, random.Random(1))
     assert child1 == g and child2 == g
 
 
@@ -74,8 +74,8 @@ def test_crossover_mixes_complementary_parents():
     ones = complete(5)
     zeros = empty_graph(5)
     for seed in range(20):
-        child1, child2 = single_point_crossover(
-            ones, zeros, np.random.default_rng(seed))
+        child1, child2 = single_point_crossover(ones, zeros,
+                                                random.Random(seed))
         # the cut excludes both extremes, so each child mixes both parents
         assert 0 < child1.edge_count < pair_count(5)
         assert child1.code ^ child2.code == (1 << pair_count(5)) - 1
@@ -83,8 +83,7 @@ def test_crossover_mixes_complementary_parents():
 
 def test_crossover_needs_equal_orders():
     with pytest.raises(ValueError):
-        single_point_crossover(complete(4), complete(5),
-                               np.random.default_rng(0))
+        single_point_crossover(complete(4), complete(5), random.Random(0))
 
 
 # ----- initialization -------------------------------------------------------
@@ -120,12 +119,11 @@ def test_initial_population_is_deterministic():
     assert initial_population(config) == initial_population(config)
 
 
-def mask_by_bits(draws, rate):
-    """Bit p set when draws[p] < rate, one bit at a time."""
-    mask = 0
-    for position in np.flatnonzero(draws < rate):
-        mask |= 1 << int(position)
-    return mask
+def mask_by_bits(rng, length, rate):
+    """Bit p set when the p-th of `length` random() draws is below rate."""
+    draws = [rng.random() for _ in range(length)]
+    return sum(1 << position for position, draw in enumerate(draws)
+               if draw < rate)
 
 
 @pytest.mark.parametrize("n", [4, 7, 13])  # 6, 21, 78 bits: not bytes
@@ -133,11 +131,11 @@ def mask_by_bits(draws, rate):
 def test_mutation_matches_per_bit_loop(n, rate):
     for seed in range(5):
         g = Graph(n, random.Random(seed).getrandbits(pair_count(n)))
-        rng = np.random.default_rng(seed)
-        expected_rng = np.random.default_rng(seed)
-        mask = mask_by_bits(expected_rng.random(pair_count(n)), rate)
+        rng = random.Random(seed)
+        expected_rng = random.Random(seed)
+        mask = mask_by_bits(expected_rng, pair_count(n), rate)
         assert binary_mutation(g, rate, rng) == Graph(n, g.code ^ mask)
-        assert rng.bit_generator.state == expected_rng.bit_generator.state
+        assert rng.getstate() == expected_rng.getstate()
 
 
 @pytest.mark.parametrize("n, k", [(4, 2), (7, 2), (7, 3), (13, 2)])
@@ -149,14 +147,14 @@ def test_initial_population_matches_per_bit_loop(n, k):
         if t is not None else 0
     expected = []
     for index in range(config.population_size):
-        rng = evolve._stream(config.seed, evolve._PHASE_INIT, 0, index)
-        draws = rng.random(pair_count(n))
+        # the stream of individual `index`: "seed:phase:generation:index"
+        rng = random.Random(f"8:{evolve._PHASE_INIT}:0:{index}")
         if index < seeded:
             base = counterexample_family(k, t)
-            mask = mask_by_bits(draws, config.mutation_rate)
+            mask = mask_by_bits(rng, pair_count(n), config.mutation_rate)
             expected.append(Graph(n, base.code ^ mask))
         else:
-            expected.append(Graph(n, mask_by_bits(draws, 0.5)))
+            expected.append(Graph(n, mask_by_bits(rng, pair_count(n), 0.5)))
     assert initial_population(config) == expected
 
 
@@ -269,8 +267,8 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
     # at orders up to the verify limit no screen runs; every distinct code
     # gets one acceptance decision; full values are taken only in
-    # generations with no passer, at most once per code.  At (7, 2) seed 2 has no such generation, seeds
-    # 4 and 42 open with several.
+    # generations with no passer, at most once per code.  At (7, 2) seed 1
+    # has no such generation, seed 4 opens with one and seed 42 with two.
     def no_screen(g, rng):
         raise AssertionError("pseudo-greedy screen called below the limit")
 
@@ -300,7 +298,7 @@ def test_solver_evaluates_each_distinct_code_once(monkeypatch):
     monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
                         counting_exact)
     monkeypatch.setattr(evolve, "_next_population", recording_next)
-    for seed, expect_fallback in ((2, False), (4, True), (42, True)):
+    for seed, expect_fallback in ((1, False), (4, True), (42, True)):
         generation = 0
         accepted_calls.clear()
         full_calls.clear()
