@@ -19,7 +19,8 @@ from typing import Optional
 
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, ScopeError
-from .evolve import RunResult, SolverConfig, report, run_solver
+from .evolve import DEFAULT_EXACT_VERIFY_LIMIT, DEFAULT_SEED, RunResult, \
+    SolverConfig, report, run_solver
 from .factors import FactorSpec, certify_requirement, delta_scope, \
     fractional_k_factor, has_fractional_factor
 from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
@@ -331,9 +332,10 @@ def build_parser() -> _Parser:
     solve.add_argument("--generations", type=int, default=100)
     solve.add_argument("--mutation-rate", type=float, default=0.3)
     solve.add_argument("--counterexample-fraction", type=float, default=0.5)
-    solve.add_argument("--seed", type=int, default=42)
+    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
     solve.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
-    solve.add_argument("--exact-verify-limit", type=int, default=16)
+    solve.add_argument("--exact-verify-limit", type=int,
+                       default=DEFAULT_EXACT_VERIFY_LIMIT)
     solve.add_argument("--out", required=True,
                        help="directory for result files")
     solve.set_defaults(handler=_cmd_solve)

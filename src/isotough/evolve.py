@@ -1,20 +1,20 @@
 """Evolutionary search for graphs meeting the toughness requirement.
 
-Up to the verify limit, every distinct encoding is decided once per run
-by factors.accepted_value: a minimum degree outside scope rejects it
-outright, and otherwise the early-exit exact search either rejects it at
-the first ratio at or below the bound or returns its exact I'.  Passers keep
-that value for the requirement check, the harvest and the elite.  Only
-in a generation with no passer does the elite need every member's value;
-then the full exact I' is taken, again once per encoding per run.  Above
-the limit every individual is scored by the pseudo-greedy estimate, which
-the requirement check and the elite both read.  Up to the limit,
-accepted records are bucketed by minimum degree and each bucket's
-best moves into the archive, where the flow search certifies its
-fractional k-factor once more (a mismatch is a ConsistencyError); above
-the limit they go to the unverified list.  The next population comes from
-random non-self pairing, single-point crossover and per-bit mutation, with
-the elite surviving unchanged.
+Up to the verify limit, every distinct encoding gets one verdict per run
+from factors.requirement_check, the single acceptance decision: a
+minimum degree outside scope rejects it outright, and otherwise the
+early-exit exact search either rejects it at the first ratio at or below
+the bound or returns its exact I'.  Passers keep that value for the
+harvest and the elite.  Only in a generation with no passer does the
+elite need every member's value; then the full exact I' is taken, again
+once per encoding per run.  Above the limit every individual is scored
+by the pseudo-greedy estimate, which requirement_check and the elite
+both read.  Up to the limit, accepted records are bucketed by minimum
+degree and each bucket's best moves into the archive, where the flow
+search certifies its fractional k-factor once more (a mismatch is a
+ConsistencyError); above the limit they go to the unverified list.  The
+next population comes from random non-self pairing, single-point
+crossover and per-bit mutation, with the elite surviving unchanged.
 
 All randomness comes from random.Random streams, one per purpose, each
 seeded with the string "seed:phase:generation:index"; CPython hashes a
@@ -27,6 +27,7 @@ supported Python.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,8 +35,8 @@ from typing import Callable, Optional, Sequence
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError
-from .factors import accepted_value, check_scope, delta_scope, \
-    require_factor, requirement_check
+from .factors import check_scope, delta_scope, require_factor, \
+    requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
@@ -101,7 +102,6 @@ class GenerationSummary:
 class DiversityStep:
     chosen: Graph
     distance: int
-    alternatives: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -250,47 +250,31 @@ def run_solver(config: SolverConfig,
     archive: list[CandidateRecord] = []
     unverified: list[CandidateRecord] = []
     summaries: list[GenerationSummary] = []
-    accepted_cache: dict[int, Optional[Ratio]] = {}
-    exact_cache: dict[int, Ratio] = {}
-    canonical_cache: dict[int, str] = {}
     certified: set[int] = set()
-
-    def accepted(g: Graph) -> Optional[Ratio]:
-        if g.code not in accepted_cache:
-            accepted_cache[g.code] = accepted_value(g, config.k, scope)
-        return accepted_cache[g.code]
-
-    def exact_value(g: Graph) -> Ratio:
-        cached = exact_cache.get(g.code)
-        if cached is None:
-            cached = exact_isolated_toughness_variant(g).value
-            exact_cache[g.code] = cached
-        return cached
-
-    def canonical_key(g: Graph) -> str:
-        cached = canonical_cache.get(g.code)
-        if cached is None:
-            cached = canonical_form(g).key
-            canonical_cache[g.code] = cached
-        return cached
+    # one entry per distinct encoding: all graphs of a run share the order
+    decide = functools.cache(
+        lambda g: requirement_check(g, config.k, scope))
+    exact_value = functools.cache(
+        lambda g: exact_isolated_toughness_variant(g).value)
+    canonical_key = functools.cache(lambda g: canonical_form(g).key)
 
     verified = config.n <= config.exact_verify_limit
     for generation in range(config.generations):
         if verified:
-            values = [accepted(g) for g in population]
-            if all(v is None for v in values):
+            verdicts = [decide(g) for g in population]
+            values = [v.value for v in verdicts]
+            if not any(v.accepted for v in verdicts):
                 # no passer: the elite reads every member's full value
                 values = [exact_value(g) for g in population]
         else:
             values = _screen(population, config, generation)
-        verdicts = [None if v is None
-                    else requirement_check(g, config.k, scope, value=v)
-                    for g, v in zip(population, values)]
-        passing = [v is not None and v.accepted for v in verdicts]
+            verdicts = [requirement_check(g, config.k, scope, value=v)
+                        for g, v in zip(population, values)]
+        passing = [v.accepted for v in verdicts]
         buckets: dict[int, list[CandidateRecord]] = {}
         rejects = 0
         for g, value, verdict in zip(population, values, verdicts):
-            if verdict is None or not verdict.accepted:
+            if not verdict.accepted:
                 rejects += 1
                 continue
             record = CandidateRecord(g, verdict.delta, value, generation,
@@ -361,9 +345,7 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int,
         best = max(score for score, _ in scored)
         pick = min((g for score, g in scored if score == best),
                    key=lambda g: g.bits())
-        steps.append(DiversityStep(
-            chosen=pick, distance=best,
-            alternatives=tuple((g.bits(), score) for score, g in scored)))
+        steps.append(DiversityStep(chosen=pick, distance=best))
         chosen.append(pick)
         remaining = [g for g in remaining if g is not pick]
     return DiversitySelection(selected=tuple(chosen), steps=tuple(steps))

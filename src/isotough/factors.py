@@ -18,6 +18,10 @@ read as popcounts of the partner masks, so no separate count can drift
 from the arcs.  When a deficient vertex has no such path, the vertices
 it reaches violate the degree sums of every solution, so the instance is
 infeasible.
+
+requirement_check is the single acceptance decision: the minimum degree
+delta lies in scope and I' strictly exceeds k + (k-1)/(delta-k+1).  The
+solver, the enumeration and certify_requirement all call it.
 """
 
 from __future__ import annotations
@@ -189,18 +193,6 @@ def requirement_bound(k: int, delta: int) -> Fraction:
     return Fraction(k) + Fraction(k - 1, t + 1)
 
 
-def accepted_value(g: Graph, k: int, scope: tuple[int, int]
-                   ) -> Optional[Ratio]:
-    """I'(g) when g is accepted, else None: its minimum degree lies in
-    scope (whose lower end is k or above) and the early-exit exact search
-    finds its variant toughness strictly above the bound.  A degree out
-    of scope rejects with no search."""
-    delta = g.min_degree
-    if not scope[0] <= delta <= scope[1]:
-        return None
-    return exact_variant_above(g, requirement_bound(k, delta))
-
-
 @dataclass(frozen=True)
 class RequirementVerdict:
     accepted: bool
@@ -213,8 +205,13 @@ class RequirementVerdict:
 def requirement_check(g: Graph, k: int, scope: tuple[int, int],
                       value: Optional[Ratio] = None) -> RequirementVerdict:
     """Accept iff the minimum degree sits in scope and the variant
-    toughness (screening or exact, as supplied) strictly exceeds the
-    degree-dependent bound."""
+    toughness strictly exceeds the degree-dependent bound.
+
+    This is the one acceptance rule.  A supplied value (exact, or a
+    screening estimate) is compared as given.  With none, a degree out of
+    scope rejects with no search; otherwise the early-exit exact search
+    decides, and a graph it rejects carries value None, not its I'.
+    """
     if k < 2:
         raise ValueError("capacity k must be at least 2")
     delta = g.min_degree
@@ -224,10 +221,10 @@ def requirement_check(g: Graph, k: int, scope: tuple[int, int],
     if not lo <= delta <= hi:
         return RequirementVerdict(False, "degree-out-of-scope", delta, None,
                                   value)
-    if value is None:
-        value = exact_isolated_toughness_variant(g).value
     bound = requirement_bound(k, delta)
-    if value > bound:
+    if value is None:
+        value = exact_variant_above(g, bound)
+    if value is not None and value > bound:
         return RequirementVerdict(True, "accepted", delta, bound, value)
     return RequirementVerdict(False, "value-not-above-bound", delta, bound,
                               value)

@@ -175,11 +175,10 @@ def hamming_distance(g1: Graph, g2: Graph) -> int:
     return (g1.code ^ g2.code).bit_count()
 
 
-def join(g1: Graph, g2: Graph, max_order: int = MAX_ORDER) -> Graph:
-    """Graph join: disjoint union plus every cross edge."""
+def join(g1: Graph, g2: Graph) -> Graph:
+    """Graph join: disjoint union plus every cross edge; CapacityError
+    above MAX_ORDER."""
     n = g1.n + g2.n
-    if n > max_order:
-        raise CapacityError(f"joined order {n} exceeds the limit {max_order}")
     edges = list(g1.edges())
     edges += [(u + g1.n, v + g1.n) for u, v in g2.edges()]
     edges += [(u, v) for u in range(g1.n) for v in range(g1.n, n)]
@@ -249,9 +248,10 @@ def extremal_family(k: int, l: int) -> Graph:
 
 def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
     """JSON-ready dict; computes the variant toughness unless supplied,
-    and writes null for it when the exact engine refuses the order."""
+    and writes null for it at order 0 or when the exact engine refuses
+    the order."""
     from .rational import format_ratio
-    if i_prime is None:
+    if i_prime is None and g.n:
         from .toughness import exact_isolated_toughness_variant
         try:
             i_prime = format_ratio(exact_isolated_toughness_variant(g).value)

@@ -1,13 +1,13 @@
 """Ground-truth companions to the solver.
 
-enumerate_exact scores every isomorphism class of order n from
-nonisomorphic_graphs with the exact engine of `toughness`, the same
-engine the solver verifies with, in its floor mode: a class whose value
-does not clear the acceptance bound is dropped as soon as the search
-finds a ratio at or below it.  For each minimum degree in scope it
-keeps the lowest variant toughness that strictly clears the acceptance
-bound, and as witness the smallest labelled encoding over every
-relabeling of the classes that reach it.  That witness is the minimum
+enumerate_exact decides every isomorphism class of order n from
+nonisomorphic_graphs with factors.requirement_check, the same single
+acceptance decision the solver makes: the exact engine of `toughness` in
+its floor mode drops a class whose value does not clear the bound as
+soon as the search finds a ratio at or below it.  For each minimum
+degree in scope it keeps the lowest variant toughness that strictly
+clears the bound, and as witness the smallest labelled encoding over
+every relabeling of the classes that reach it.  That witness is the minimum
 over all n! relabelings, not canonical_code's class invariant; a small
 search finds it by handing out labels from n-1 down, since each label
 fixes the next-highest row of the encoding.
@@ -33,13 +33,13 @@ import functools
 import platform
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .canonical import canonical_code
 from .errors import CapacityError
 from .evolve import SolverConfig, _bernoulli_mask, report, run_solver
-from .factors import accepted_value, check_scope, delta_scope
+from .factors import check_scope, delta_scope, requirement_check
 from .graphs import Graph, from_edges, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
@@ -103,8 +103,7 @@ def _min_code(g: Graph) -> int:
 
 
 def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
-                    *, limit: int = DEFAULT_ENUMERATION_LIMIT,
-                    force: bool = False) -> EnumerationResult:
+                    *, force: bool = False) -> EnumerationResult:
     """Exhaustive per-degree optima over every isomorphism class of order n.
 
     Each optimum is the lowest variant toughness above the bound at that
@@ -115,11 +114,11 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
         raise ValueError("enumeration needs order n >= 2")
     if k < 2:
         raise ValueError("capacity k must be at least 2")
-    if n > limit and not force:
+    if n > DEFAULT_ENUMERATION_LIMIT and not force:
         raise CapacityError(
-            f"enumeration stops at order {limit}: the isomorphism classes "
-            f"of order {n} take far longer to generate and score; "
-            "pass force to override")
+            f"enumeration stops at order {DEFAULT_ENUMERATION_LIMIT}: the "
+            f"isomorphism classes of order {n} take far longer to generate "
+            "and score; pass force to override")
     if scope is None:
         scope = delta_scope(n, k)
     else:
@@ -129,10 +128,10 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
     lo, hi = scope
     best: dict[int, tuple[Ratio, list[Graph]]] = {}
     for g in nonisomorphic_graphs(n):
-        value = accepted_value(g, k, scope)
-        if value is None:
+        verdict = requirement_check(g, k, scope)
+        if not verdict.accepted:
             continue
-        d = g.min_degree
+        d, value = verdict.delta, verdict.value
         if d not in best or value < best[d][0]:
             best[d] = (value, [g])
         elif value == best[d][0]:
@@ -279,7 +278,6 @@ class BenchmarkReport:
 
 
 def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
-              config: Optional[SolverConfig] = None,
               force: bool = False) -> BenchmarkReport:
     """Solver quality and runtime against the exhaustive enumeration."""
     if runs < 1:
@@ -291,9 +289,8 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
                                                for d in range(scope[0],
                                                               scope[1] + 1)}
     total_solver = 0.0
-    base = SolverConfig(n=n, k=k) if config is None else config
     for at in range(runs):
-        result = run_solver(replace(base, n=n, k=k, seed=seed + at))
+        result = run_solver(SolverConfig(n=n, k=k, seed=seed + at))
         total_solver += result.timings["total_s"]
         for delta, value in report(result).optima.items():
             if value is None:

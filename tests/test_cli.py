@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import isotough
-from isotough.cli import main
+from isotough.cli import build_parser, main
+from isotough.evolve import SolverConfig
 from isotough.graphs import counterexample_family, from_edges, \
     graph_from_json, graph_to_json_text, star
 from isotough.rational import parse_ratio
@@ -147,13 +148,17 @@ def test_family_writes_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["complete", "--n", "30"],
                                   ["star", "--n", "40"],
-                                  ["cliques", "--m", "9", "--b", "3"]])
+                                  ["cliques", "--m", "9", "--b", "3"],
+                                  ["empty", "--n", "0"],
+                                  ["complete", "--n", "0"]])
 def test_family_above_the_exact_order_gate(argv, capsys):
-    # complete graphs are infinite at any order; the others are beyond the
-    # exact engine's order gate, so their I' is written as null
+    # complete graphs of positive order are infinite at any order; star
+    # and cliques here are beyond the exact engine's order gate and the
+    # order-0 graphs have no I', so theirs is written as null
     assert main(["family", *argv]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["i_prime"] == ("inf" if argv[0] == "complete" else None)
+    infinite = argv[0] == "complete" and argv[2] != "0"
+    assert data["i_prime"] == ("inf" if infinite else None)
 
 
 def test_family_missing_parameter(capsys):
@@ -282,9 +287,26 @@ def test_negative_seed_is_input_error(argv, capsys, tmp_path):
     assert not out.exists()
 
 
+# ----- benchmark ------------------------------------------------------------
+
+def test_benchmark_small_run_is_sound(capsys):
+    assert main(["benchmark", "--n", "6", "--k", "2", "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "runs: 2" in out
+    assert "2      4/1     4/1          yes" in out
+    assert "sound: yes" in out
+
+
 # ----- solve ----------------------------------------------------------------
 
 SOLVE_FAST = ["solve", "--n", "7", "--k", "2", "--generations", "15"]
+
+
+def test_solve_defaults_are_the_solver_defaults():
+    args = build_parser().parse_args(["solve", "--n", "7", "--k", "2",
+                                      "--out", "unused"])
+    assert args.seed == SolverConfig.seed
+    assert args.exact_verify_limit == SolverConfig.exact_verify_limit
 
 
 def test_solve_writes_result_files(capsys, tmp_path):

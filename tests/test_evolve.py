@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isotough import canonical, evolve
-from isotough.canonical import are_isomorphic
+from isotough.canonical import are_isomorphic, deduplicate
 from isotough.errors import EmptyArchiveError, ScopeError
 from isotough.evolve import (
     SolverConfig,
@@ -266,21 +266,23 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
     # at orders up to the verify limit no screen runs; every distinct code
-    # gets one acceptance decision; full values are taken only in
-    # generations with no passer, at most once per code.  At (7, 2) seed 1
-    # has no such generation, seed 4 opens with one and seed 42 with two.
+    # gets one no-value requirement_check, the acceptance decision, and no
+    # check is given a value; full values are taken only in generations
+    # with no passer, at most once per code.  At (7, 2) seed 1 has no such
+    # generation, seed 4 opens with one and seed 42 with two.
     def no_screen(g, rng):
         raise AssertionError("pseudo-greedy screen called below the limit")
 
-    real_accepted = evolve.accepted_value
+    real_check = evolve.requirement_check
     real_exact = evolve.exact_isolated_toughness_variant
     real_next = evolve._next_population
     generation = 0
     accepted_calls, full_calls, evaluated = [], [], set()
 
-    def counting_accepted(g, k, scope):
+    def counting_check(g, k, scope, value=None):
+        assert value is None, "a value was passed below the limit"
         accepted_calls.append(g.code)
-        return real_accepted(g, k, scope)
+        return real_check(g, k, scope)
 
     def counting_exact(g, **kwargs):
         full_calls.append((generation, g.code))
@@ -294,7 +296,7 @@ def test_solver_evaluates_each_distinct_code_once(monkeypatch):
         return real_next(population, *args)
 
     monkeypatch.setattr(evolve, "pseudo_greedy_estimate", no_screen)
-    monkeypatch.setattr(evolve, "accepted_value", counting_accepted)
+    monkeypatch.setattr(evolve, "requirement_check", counting_check)
     monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
                         counting_exact)
     monkeypatch.setattr(evolve, "_next_population", recording_next)
@@ -355,10 +357,21 @@ def test_diversity_each_step_is_greedy_optimal():
     batch = [Graph(6, int(rng.integers(0, 1 << pair_count(6))))
              for _ in range(12)]
     selection = diversity_enhancement(batch, 6)
+    pool = deduplicate(batch)
+    reference = complete(6)
     for at, step in enumerate(selection.steps):
-        assert step.distance == max(score for _, score in step.alternatives)
+        chosen_before = selection.selected[:at]
+        remaining = [h for h in pool if h not in chosen_before]
         if at:
-            chosen_before = selection.selected[:at]
+            scores = [min(hamming_distance(h, earlier)
+                          for earlier in chosen_before) for h in remaining]
+        else:
+            scores = [hamming_distance(h, reference) for h in remaining]
+        assert step.distance == max(scores)
+        assert step.chosen.bits() == min(
+            h.bits() for h, score in zip(remaining, scores)
+            if score == step.distance)
+        if at:
             measured = min(hamming_distance(step.chosen, earlier)
                            for earlier in chosen_before)
             assert measured == step.distance

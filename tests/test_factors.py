@@ -13,7 +13,6 @@ from isotough.errors import ScopeError
 from isotough.factors import (
     FactorSpec,
     _double_cover_arcs,
-    accepted_value,
     certify_requirement,
     delta_scope,
     fractional_k_factor,
@@ -33,6 +32,7 @@ from isotough.graphs import (
 )
 from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
+from isotough.toughness import exact_isolated_toughness_variant
 
 from _feasibility_oracles import (
     cut_condition_feasible,
@@ -193,26 +193,45 @@ def test_requirement_check_uses_supplied_screening_value():
         requirement_check(g, 1, (2, 4))
 
 
-def test_accepted_value_agrees_with_the_requirement_check():
+def test_requirement_check_without_value_matches_the_full_engine():
+    # the early-exit search decides exactly as the full value would
     for n in range(4, 8):
         for g in nonisomorphic_graphs(n):
             for k in (2, 3):
                 scope = (k, max(k, n - 1))
-                verdict = requirement_check(g, k, scope)
-                value = accepted_value(g, k, scope)
-                assert (value is not None) == verdict.accepted
-                if verdict.accepted:
-                    assert value == verdict.value
+                full = exact_isolated_toughness_variant(g).value
+                given = requirement_check(g, k, scope, value=full)
+                decided = requirement_check(g, k, scope)
+                assert (decided.accepted, decided.reason, decided.delta,
+                        decided.bound) == (given.accepted, given.reason,
+                                           given.delta, given.bound), g
+                if decided.accepted:
+                    assert decided.value == full
 
 
-def test_accepted_value_rejects_out_of_scope_degree_with_no_search(
+def test_requirement_check_rejection_on_value_carries_no_value():
+    # I'(counterexample(2, 0)) = 3 sits on the bound 3: the search stops
+    # at that ratio and never takes the full value
+    g = counterexample_family(2, 0)
+    verdict = requirement_check(g, 2, (2, 4))
+    assert (verdict.accepted, verdict.reason) \
+        == (False, "value-not-above-bound")
+    assert verdict.bound == Fraction(3)
+    assert verdict.value is None
+    supplied = requirement_check(g, 2, (2, 4), value=Fraction(3))
+    assert supplied.value == Fraction(3)
+
+
+def test_requirement_check_rejects_out_of_scope_degree_with_no_search(
         monkeypatch):
     def no_search(g, floor):
         raise AssertionError("searched a graph whose degree is out of scope")
 
     monkeypatch.setattr(factors, "exact_variant_above", no_search)
-    assert accepted_value(complete(5), 2, (2, 3)) is None
-    assert accepted_value(star(5), 2, (2, 3)) is None
+    out = requirement_check(complete(5), 2, (2, 3))
+    assert (out.accepted, out.reason) == (False, "degree-out-of-scope")
+    low = requirement_check(star(5), 2, (2, 3))
+    assert (low.accepted, low.reason) == (False, "degree-below-k")
 
 
 # ----- certification --------------------------------------------------------

@@ -164,8 +164,9 @@ def test_join_identity_and_cliques():
 
 
 def test_join_size_limit():
+    # the joined order 70 is past MAX_ORDER, which Graph refuses
     with pytest.raises(CapacityError):
-        join(complete(3), complete(3), max_order=5)
+        join(complete(40), complete(30))
 
 
 @given(st.integers(1, 5), st.integers(1, 5))
