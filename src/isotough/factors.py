@@ -26,6 +26,7 @@ solver, the enumeration and certify_requirement all call it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -185,8 +186,10 @@ def check_scope(n: int, k: int, scope: tuple[int, int]) -> None:
             f" for n={n}, k={k}")
 
 
+@functools.cache
 def requirement_bound(k: int, delta: int) -> Fraction:
-    """Strict lower bound the variant toughness must exceed."""
+    """Strict lower bound the variant toughness must exceed; cached, as
+    building the Fraction costs more than a small graph's decision."""
     t = delta - k
     if t < 0:
         raise ValueError("bound undefined below minimum degree k")
