@@ -188,8 +188,8 @@ def check_scope(n: int, k: int, scope: tuple[int, int]) -> None:
 
 @functools.cache
 def requirement_bound(k: int, delta: int) -> Fraction:
-    """Strict lower bound the variant toughness must exceed; cached, as
-    building the Fraction costs more than a small graph's decision."""
+    """Strict lower bound the variant toughness must exceed.  Cached:
+    building the Fraction takes about as long as deciding a small graph."""
     t = delta - k
     if t < 0:
         raise ValueError("bound undefined below minimum degree k")
