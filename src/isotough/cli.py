@@ -19,8 +19,8 @@ from typing import Optional
 
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, ScopeError
-from .evolve import DEFAULT_EXACT_VERIFY_LIMIT, DEFAULT_SEED, RunResult, \
-    SolverConfig, report, run_solver
+from .evolve import DEFAULT_SEED, RunResult, SolverConfig, report, \
+    run_solver
 from .factors import FactorSpec, certify_requirement, delta_scope, \
     fractional_k_factor, has_fractional_factor
 from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
@@ -82,8 +82,7 @@ def _manifest(result: RunResult, summary, i_primes: dict[int, str]) -> dict:
                          for d, records in sorted(entry.buckets.items())},
             "harvested": {str(d): _record_json(r)
                           for d, r in sorted(entry.harvested.items())},
-            "screening_rejects": entry.screening_rejects,
-            "false_positives": entry.false_positives,
+            "rejects": entry.rejects,
         })
     return {
         "config": {
@@ -328,14 +327,18 @@ def build_parser() -> _Parser:
 
     solve = commands.add_parser("solve", help="run the evolutionary search")
     _instance_flags(solve)
-    solve.add_argument("--population", type=int, default=10)
-    solve.add_argument("--generations", type=int, default=100)
-    solve.add_argument("--mutation-rate", type=float, default=0.3)
-    solve.add_argument("--counterexample-fraction", type=float, default=0.5)
-    solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    solve.add_argument("--population", type=int,
+                       default=SolverConfig.population_size)
+    solve.add_argument("--generations", type=int,
+                       default=SolverConfig.generations)
+    solve.add_argument("--mutation-rate", type=float,
+                       default=SolverConfig.mutation_rate)
+    solve.add_argument("--counterexample-fraction", type=float,
+                       default=SolverConfig.counterexample_fraction)
+    solve.add_argument("--seed", type=int, default=SolverConfig.seed)
     solve.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
     solve.add_argument("--exact-verify-limit", type=int,
-                       default=DEFAULT_EXACT_VERIFY_LIMIT)
+                       default=SolverConfig.exact_verify_limit)
     solve.add_argument("--out", required=True,
                        help="directory for result files")
     solve.set_defaults(handler=_cmd_solve)
@@ -408,7 +411,7 @@ def build_parser() -> _Parser:
         "benchmark", help="solver quality and runtime against enumeration")
     _instance_flags(bench)
     bench.add_argument("--runs", type=int, default=10)
-    bench.add_argument("--seed", type=int, default=42)
+    bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
     bench.add_argument("--force", action="store_true")
     bench.set_defaults(handler=_cmd_benchmark)
 

@@ -7,9 +7,10 @@ early-exit exact search either rejects it at the first ratio at or below
 the bound or returns its exact I'.  Passers keep that value for the
 harvest and the elite.  Only in a generation with no passer does the
 elite need every member's value; then the full exact I' is taken, again
-once per encoding per run.  Above the limit every individual is scored
-by the pseudo-greedy estimate, which requirement_check and the elite
-both read.  Up to the limit, accepted records are bucketed by minimum
+once per encoding per run.  Above the limit, by default the exact
+engine's own order gate toughness.DEFAULT_EXACT_LIMIT, every individual
+is scored by the pseudo-greedy estimate, which requirement_check and the
+elite both read.  Up to the limit, accepted records are bucketed by minimum
 degree and each bucket's best moves into the archive, where the flow
 search certifies its fractional k-factor once more (a mismatch is a
 ConsistencyError); above the limit they go to the unverified list.  The
@@ -40,11 +41,10 @@ from .factors import check_scope, delta_scope, require_factor, \
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
-from .toughness import exact_isolated_toughness_variant, \
-    pseudo_greedy_estimate
+from .toughness import DEFAULT_EXACT_LIMIT, \
+    exact_isolated_toughness_variant, pseudo_greedy_estimate
 
 DEFAULT_SEED = 42
-DEFAULT_EXACT_VERIFY_LIMIT = 16
 
 _PHASE_INIT, _PHASE_EVAL, _PHASE_BREED = 0, 1, 2
 
@@ -59,7 +59,7 @@ class SolverConfig:
     counterexample_fraction: float = 0.5
     seed: int = DEFAULT_SEED
     scope: Optional[tuple[int, int]] = None
-    exact_verify_limit: int = DEFAULT_EXACT_VERIFY_LIMIT
+    exact_verify_limit: int = DEFAULT_EXACT_LIMIT
 
     def __post_init__(self):
         if self.n < 4:
@@ -94,7 +94,7 @@ class GenerationSummary:
     generation: int
     buckets: dict[int, tuple[CandidateRecord, ...]]
     harvested: dict[int, CandidateRecord]
-    screening_rejects: int
+    rejects: int
     false_positives: int    # always 0; perfbench/tracer.py still reads it
 
 
@@ -296,7 +296,7 @@ def run_solver(config: SolverConfig,
             generation=generation,
             buckets={d: tuple(records) for d, records in buckets.items()},
             harvested=harvested,
-            screening_rejects=rejects,
+            rejects=rejects,
             false_positives=0))
         elite = _elite(population, values, passing)
         population = _next_population(population, elite, config, generation)
@@ -335,19 +335,21 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int,
     chosen: list[Graph] = []
     steps: list[DiversityStep] = []
     remaining = sorted(representatives, key=lambda g: g.bits())
-    target = min(limit, len(remaining))
-    while len(chosen) < target:
-        if not chosen:
-            scored = [(hamming_distance(g, reference), g) for g in remaining]
+    # each remaining graph's distance to its nearest pick, to K_n before
+    # the first; the first maximum is the tie with the smallest bits
+    nearest = [hamming_distance(g, reference) for g in remaining]
+    for _ in range(min(limit, len(remaining))):
+        best = max(nearest)
+        at = nearest.index(best)
+        pick = remaining.pop(at)
+        del nearest[at]
+        if chosen:
+            nearest = [min(d, hamming_distance(g, pick))
+                       for g, d in zip(remaining, nearest)]
         else:
-            scored = [(min(hamming_distance(g, c) for c in chosen), g)
-                      for g in remaining]
-        best = max(score for score, _ in scored)
-        pick = min((g for score, g in scored if score == best),
-                   key=lambda g: g.bits())
+            nearest = [hamming_distance(g, pick) for g in remaining]
         steps.append(DiversityStep(chosen=pick, distance=best))
         chosen.append(pick)
-        remaining = [g for g in remaining if g is not pick]
     return DiversitySelection(selected=tuple(chosen), steps=tuple(steps))
 
 

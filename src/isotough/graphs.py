@@ -88,12 +88,6 @@ class Graph:
         return min(self.degrees)
 
     @property
-    def max_degree(self) -> int:
-        if self.n == 0:
-            raise ValueError("order-0 graph has no degrees")
-        return max(self.degrees)
-
-    @property
     def edge_count(self) -> int:
         return self.code.bit_count()
 

@@ -38,9 +38,10 @@ from typing import Optional
 
 from .canonical import canonical_code
 from .errors import CapacityError
-from .evolve import SolverConfig, _bernoulli_mask, report, run_solver
+from .evolve import DEFAULT_SEED, SolverConfig, _bernoulli_mask, report, \
+    run_solver
 from .factors import check_scope, delta_scope, requirement_check
-from .graphs import Graph, from_edges, pair_count
+from .graphs import Graph, pair_count
 from .rational import INFINITY, Ratio
 from .toughness import exact_isolated_toughness, \
     exact_isolated_toughness_variant
@@ -172,16 +173,13 @@ def _level(m: int) -> tuple[int, ...]:
         return (0,)
     seen: set[int] = set()
     for code in _level(m - 1):
-        g = Graph(m - 1, code)
-        base_edges = list(g.edges())
-        degrees = g.degrees
+        degrees = Graph(m - 1, code).degrees
+        # the new vertex is 0: row 0 is the mask, the parent's rows follow
         for mask in range(1 << (m - 1)):
             if any(mask.bit_count() > d + (mask >> u & 1)
                    for u, d in enumerate(degrees)):
                 continue
-            child = from_edges(m, base_edges + [
-                (u, m - 1) for u in range(m - 1) if (mask >> u) & 1])
-            seen.add(canonical_code(child))
+            seen.add(canonical_code(Graph(m, code << (m - 1) | mask)))
     return tuple(sorted(seen))
 
 
@@ -277,7 +275,7 @@ class BenchmarkReport:
     machine: str = field(default_factory=lambda: platform.platform())
 
 
-def benchmark(n: int, k: int, *, runs: int = 10, seed: int = 42,
+def benchmark(n: int, k: int, *, runs: int = 10, seed: int = DEFAULT_SEED,
               force: bool = False) -> BenchmarkReport:
     """Solver quality and runtime against the exhaustive enumeration."""
     if runs < 1:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -14,10 +15,12 @@ import pytest
 
 import isotough
 from isotough.cli import build_parser, main
-from isotough.evolve import SolverConfig
+from isotough.evolve import DEFAULT_SEED, SolverConfig
 from isotough.graphs import counterexample_family, from_edges, \
     graph_from_json, graph_to_json_text, star
+from isotough.oracle import benchmark
 from isotough.rational import parse_ratio
+from isotough.toughness import DEFAULT_EXACT_LIMIT
 
 
 def cycle(n):
@@ -303,10 +306,37 @@ SOLVE_FAST = ["solve", "--n", "7", "--k", "2", "--generations", "15"]
 
 
 def test_solve_defaults_are_the_solver_defaults():
-    args = build_parser().parse_args(["solve", "--n", "7", "--k", "2",
-                                      "--out", "unused"])
-    assert args.seed == SolverConfig.seed
-    assert args.exact_verify_limit == SolverConfig.exact_verify_limit
+    parser = build_parser()
+    args = parser.parse_args(["solve", "--n", "20", "--k", "3",
+                              "--out", "unused"])
+    config = SolverConfig(n=20, k=3)
+    assert args.population == config.population_size
+    assert args.generations == config.generations
+    assert args.mutation_rate == config.mutation_rate
+    assert args.counterexample_fraction == config.counterexample_fraction
+    assert args.seed == config.seed
+    assert args.scope is None and config.scope is None
+    assert args.exact_verify_limit == config.exact_verify_limit \
+        == DEFAULT_EXACT_LIMIT
+    bench = parser.parse_args(["benchmark", "--n", "6", "--k", "2"])
+    assert bench.seed == DEFAULT_SEED \
+        == inspect.signature(benchmark).parameters["seed"].default
+
+
+@pytest.mark.parametrize("n, code, verified", [(17, 0, True), (25, 3, False)])
+def test_solve_verifies_up_to_the_exact_engine_gate(n, code, verified, capsys,
+                                                    tmp_path):
+    # below the engine's order gate every record is exact; above it the
+    # pseudo-greedy estimate scores candidates and nothing is archived
+    out = tmp_path / "run"
+    assert main(["solve", "--n", str(n), "--k", "3", "--generations", "5",
+                 "--seed", "2", "--out", str(out)]) == code
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    kept = manifest["archive"] if verified else manifest["unverified"]
+    dropped = manifest["unverified"] if verified else manifest["archive"]
+    assert kept and not dropped
+    assert all(record["verified"] is verified for record in kept)
 
 
 def test_solve_writes_result_files(capsys, tmp_path):
@@ -361,7 +391,7 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
 # Python.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "36e37852e9ae48bf46f0295a733926d89b8548ab34db09de643e2afa1cefefba",
+        "3a4749dd39b641d16b02bb2b2f7053619a264d2bad0a8c6a7785dcd2c36004eb",
     "selected-0.dot":
         "289a1758a661e1722fd8aadd8253cd0b4aeae43aabfb5959ee6e31c3cfe55e49",
     "selected-0.json":

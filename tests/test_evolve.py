@@ -203,7 +203,7 @@ def test_population_size_constant_each_generation():
     # bucket totals can never exceed the population size
     for summary in result.generations:
         accepted = sum(len(b) for b in summary.buckets.values())
-        assert accepted + summary.screening_rejects \
+        assert accepted + summary.rejects \
             + summary.false_positives == config.population_size
 
 
@@ -352,13 +352,16 @@ def test_diversity_first_pick_is_farthest_from_complete():
     assert selection.selected[0] == sparse
 
 
-def test_diversity_each_step_is_greedy_optimal():
-    rng = np.random.default_rng(17)
-    batch = [Graph(6, int(rng.integers(0, 1 << pair_count(6))))
-             for _ in range(12)]
-    selection = diversity_enhancement(batch, 6)
+@pytest.mark.parametrize("seed, n, size, limit", [(17, 6, 12, 6)] + [
+    (seed, 5 + seed % 4, 16, 1 + seed % 10) for seed in range(19)])
+def test_diversity_each_step_is_greedy_optimal(seed, n, size, limit):
+    rng = np.random.default_rng(seed)
+    batch = [Graph(n, int(rng.integers(0, 1 << pair_count(n))))
+             for _ in range(size)]
+    selection = diversity_enhancement(batch, limit)
     pool = deduplicate(batch)
-    reference = complete(6)
+    assert len(selection.steps) == min(limit, len(pool))
+    reference = complete(n)
     for at, step in enumerate(selection.steps):
         chosen_before = selection.selected[:at]
         remaining = [h for h in pool if h not in chosen_before]
