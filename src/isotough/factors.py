@@ -225,9 +225,12 @@ def requirement_check(g: Graph, k: int, scope: tuple[int, int],
         return RequirementVerdict(False, "degree-out-of-scope", delta, None,
                                   value)
     bound = requirement_bound(k, delta)
-    if value is None:
+    if value is None:  # the search returns only a value above the bound
         value = exact_variant_above(g, bound)
-    if value is not None and value > bound:
+        accepted = value is not None
+    else:
+        accepted = value > bound
+    if accepted:
         return RequirementVerdict(True, "accepted", delta, bound, value)
     return RequirementVerdict(False, "value-not-above-bound", delta, bound,
                               value)

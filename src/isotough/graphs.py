@@ -10,8 +10,9 @@ operations here are pure functions on immutable values.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapacityError, GraphParseError
@@ -40,6 +41,50 @@ def edge_index(u: int, v: int, n: int) -> int:
     return row_start + (v - u - 1)
 
 
+@cache
+def _decode_layout(n: int) -> tuple[tuple[tuple[int, int], ...],
+                                     tuple[tuple[int, int], ...],
+                                     struct.Struct, int]:
+    """Masks that decode an order-n encoding into adjacency rows.
+
+    Row u of the encoding, the pairs (u, v) for v > u, must move from its
+    bit offset to u * side + u + 1.  Those shifts grow with u, so taking
+    their binary digits from the top down moves every row by one power of
+    two per step with no row ever overlapping another: `steps` holds one
+    (rows-to-move mask, power) pair per digit.  `swaps` holds, for each
+    block size j = side/2, ..., 1, the mask of the upper-right j x j
+    blocks and the distance j * (side - 1) to their lower-left partners.
+    The last two fields unpack the first n rows.  At order 64 the masks
+    take about 8 KB.
+    """
+    side = max(8, 1 << (n - 1).bit_length())
+    rows = []  # (offset, width, shift) per nonempty encoded row
+    offset = 0
+    for u in range(n - 1):
+        width = n - 1 - u
+        rows.append((offset, width, u * side + u + 1 - offset))
+        offset += width
+    steps = []
+    top = rows[-1][2].bit_length() if rows else 0
+    for digit in reversed(range(top)):
+        mask = 0
+        for offset, width, shift in rows:
+            if shift >> digit & 1:
+                done = shift >> (digit + 1) << (digit + 1)
+                mask |= ((1 << width) - 1) << (offset + done)
+        if mask:
+            steps.append((mask, 1 << digit))
+    swaps = []
+    j = side >> 1
+    while j:
+        right = sum(1 << c for c in range(side) if c & j)
+        mask = sum(right << r * side for r in range(side) if not r & j)
+        swaps.append((mask, j * (side - 1)))
+        j >>= 1
+    unpack = struct.Struct(f"<{n}{'BHIQ'[(side // 8).bit_length() - 1]}")
+    return tuple(steps), tuple(swaps), unpack, n * side // 8
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph; `code` packs the upper-triangular bit string."""
@@ -58,28 +103,29 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
-        """Neighbor bitmask per vertex.
+        """Neighbor bitmask per vertex, decoded word-parallel.
 
-        Row u of the encoding is one slice of n-1-u bits whose bit i is
-        the pair (u, u+1+i); only its set bits are walked for back edges.
+        The upper-triangular rows are shifted into place as the strict
+        upper triangle U of a square bit matrix, row u at bit u * side,
+        whose side is the next power of two (at least 8, so rows are
+        whole bytes).  U | U^T is the adjacency matrix; the transpose is
+        log2(side) block swaps on one int, and the rows are unpacked from
+        its bytes.  The masks come from _decode_layout.
         """
-        n, code = self.n, int(self.code)  # callers may pass numpy ints
-        masks = [0] * n
-        start = 0
-        for u in range(n):
-            width = n - 1 - u
-            row = (code >> start) & ((1 << width) - 1)
-            start += width
-            masks[u] |= row << (u + 1)
-            while row:
-                low = row & -row
-                masks[u + low.bit_length()] |= 1 << u
-                row ^= low
-        return tuple(masks)
+        steps, swaps, unpack, size = _decode_layout(self.n)
+        upper = int(self.code)  # callers may pass numpy ints
+        for mask, amount in steps:
+            moved = upper & mask
+            upper = upper ^ moved | moved << amount
+        matrix = upper
+        for mask, distance in swaps:
+            swapped = (matrix ^ matrix >> distance) & mask
+            matrix ^= swapped | swapped << distance
+        return unpack.unpack((matrix | upper).to_bytes(size, "little"))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.adjacency)
+        return tuple(map(int.bit_count, self.adjacency))
 
     @property
     def min_degree(self) -> int:

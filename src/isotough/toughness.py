@@ -9,18 +9,25 @@ The exact engine searches independent sets J rather than deletion sets:
 the vertices that deleting S isolates form an independent J with N(J)
 inside S, so the minimum is min |N(J)| / f(|J|) over independent J with
 |J| >= 2, and every minimizer is N(J) for an optimal closed J (the
-isolated set of G - N(J) is J itself).  A depth-first search grows J in
-vertex order over bitmasks and cuts a branch when its best reachable
-ratio, |N(J)| over |J| + |candidates|, is strictly above the best found
-(so ties survive), or when a passed-over vertex outside N(J) has its
-whole neighbourhood in N(J), which leaves no closed extension.  Ratios
-are compared by integer cross-multiplication.
+isolated set of G - N(J) is J itself).  So the search keeps |J| with
+each minimizing mask, and that size is the minimizer's witness
+i(G - N(J)): no isolated count is taken afterwards.  Only at ratio 0
+does one mask, the empty one, tie at several sizes of J, and the
+largest, all the isolated vertices, is kept.
+
+A depth-first search grows J in vertex order over bitmasks and cuts a
+branch when its best reachable ratio, |N(J)| over |J| + |candidates|,
+is strictly above the best found (so ties survive), or when a
+passed-over vertex outside N(J) has its whole neighbourhood in N(J),
+which leaves no closed extension.  Ratios are compared by integer
+cross-multiplication.
 
 exact_variant_above runs the same search in floor mode, for callers that
-only need I' when it strictly clears a bound: the search stops at the
-first ratio at or below the floor, the bound cut also drops branches
-that can at best tie the best ratio found, and no minimizers or
-isolated counts are built.
+only need I' when it strictly clears a bound: the floor enters as an
+integer numerator and denominator, the search stops at the first ratio
+at or below it, the bound cut also drops branches that can at best tie
+the best ratio found, no masks are kept, and a Fraction is built only
+for a value that clears the floor.
 
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
@@ -42,8 +49,8 @@ from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import CapacityError
-from .graphs import Graph, isolated_count
-from .rational import INFINITY, Ratio, is_infinite
+from .graphs import Graph
+from .rational import INFINITY, Ratio
 
 DEFAULT_EXACT_LIMIT = 24
 
@@ -61,18 +68,20 @@ class _AtOrBelowFloor(Exception):
 
 
 def _independent_set_search(g: Graph, variant: bool, limit: int,
-                            floor: Optional[Fraction] = None
-                            ) -> tuple[Ratio, list[int]]:
-    """The minimum ratio and the sorted neighbourhood masks attaining it.
+                            floor: Optional[tuple[int, int]] = None
+                            ) -> tuple[Ratio, dict[int, int]]:
+    """The minimum ratio and, for each neighbourhood mask N(J) attaining
+    it, the largest |J| found with it, which is i(G - N(J)).
 
-    With a floor no masks are kept, ties are cut, and _AtOrBelowFloor
-    ends the search at the first ratio at or below the floor.
+    With a floor, given as (numerator, denominator), no masks are kept,
+    ties are cut, and _AtOrBelowFloor ends the search at the first ratio
+    at or below the floor.
     """
     n = g.n
     if n < 1:
         raise ValueError("toughness needs at least one vertex")
     if g.is_complete():  # no qualifying S at any order
-        return INFINITY, []
+        return INFINITY, {}
     if n > limit:
         raise CapacityError(
             f"exact toughness is gated to order <= {limit}; "
@@ -83,10 +92,9 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     keep = floor is None
     tie = 0 if keep else 1  # a bound equal to the best is cut iff tie
     # -1/1 lies below every ratio, so without a floor the stop never fires
-    floor_num, floor_den = (-1, 1) if keep else (floor.numerator,
-                                                 floor.denominator)
+    floor_num, floor_den = (-1, 1) if keep else floor
     best_num, best_den = -1, 0  # -1/0 stands for INFINITY
-    best_masks: set[int] = set()
+    best_masks: dict[int, int] = {}
 
     def visit(size: int, nbrs: int, cand: int, skipped: int) -> None:
         # J has `size` vertices and neighbourhood `nbrs`; `cand` holds the
@@ -101,9 +109,12 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
                 best_num, best_den = covered, den
                 if keep:
                     best_masks.clear()
-                    best_masks.add(nbrs)
+                    best_masks[nbrs] = size
             elif keep and covered * best_den == best_num * den:
-                best_masks.add(nbrs)
+                # only the empty mask ties at several sizes (ratio 0); the
+                # largest J is the closed one
+                if best_masks.get(nbrs, 0) < size:
+                    best_masks[nbrs] = size
         while cand:
             top = size + cand.bit_count()  # largest |J| left on this branch
             if top < 2 or (best_num >= 0 and covered * best_den + tie
@@ -128,16 +139,24 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
 
     visit(0, 0, (1 << n) - 1, 0)
     if best_num < 0:
-        return INFINITY, []
-    return Fraction(best_num, best_den), sorted(best_masks)
+        return INFINITY, {}
+    return Fraction(best_num, best_den), best_masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
 
 
 def _full_result(g: Graph, variant: bool, limit: int) -> ToughnessResult:
-    value, masks = _independent_set_search(g, variant, limit)
-    minimizers = tuple(tuple(v for v in range(g.n) if (mask >> v) & 1)
-                       for mask in masks)
-    witness = tuple(isolated_count(g, mask) for mask in masks)
-    return ToughnessResult(value, minimizers, witness)
+    value, sizes = _independent_set_search(g, variant, limit)
+    masks = sorted(sizes)
+    return ToughnessResult(value, tuple(map(_members, masks)),
+                           tuple(map(sizes.__getitem__, masks)))
 
 
 def exact_isolated_toughness(g: Graph, *,
@@ -154,18 +173,20 @@ def exact_isolated_toughness_variant(g: Graph, *,
     return _full_result(g, variant=True, limit=limit)
 
 
-def exact_variant_above(g: Graph, floor: Fraction, *,
+def exact_variant_above(g: Graph, floor: Ratio, *,
                         limit: int = DEFAULT_EXACT_LIMIT) -> Optional[Ratio]:
     """I'(g) when it strictly exceeds the finite floor, else None.
 
     For callers that read the value only when it clears a bound: the
     search stops at the first ratio at or below the floor and keeps no
-    minimizers.
+    minimizers.  The floor may be an int, a Fraction or a finite float.
     """
-    if is_infinite(floor):
-        raise ValueError("the floor must be finite")
     try:
-        value, _ = _independent_set_search(g, True, limit, Fraction(floor))
+        ratio = floor.as_integer_ratio()
+    except OverflowError:  # a float infinity
+        raise ValueError("the floor must be finite") from None
+    try:
+        value, _ = _independent_set_search(g, True, limit, ratio)
     except _AtOrBelowFloor:
         return None
     return value

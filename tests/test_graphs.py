@@ -129,7 +129,15 @@ def test_adjacency_matches_pair_loop(n):
                  & rng.getrandbits(length))  # sparse
     for code in codes:
         g = Graph(n, code)
-        assert g.adjacency == adjacency_by_pairs(g)
+        expected = adjacency_by_pairs(g)
+        assert g.adjacency == expected
+        degrees = tuple(mask.bit_count() for mask in expected)
+        assert g.degrees == degrees
+        if n:
+            assert g.min_degree == min(degrees)
+        else:
+            with pytest.raises(ValueError):
+                g.min_degree
 
 
 # ----- isolated vertex counting ---------------------------------------------

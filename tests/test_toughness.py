@@ -1,6 +1,7 @@
 """Exact toughness values, minimizers, roulette selection, pseudo-greedy."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -207,17 +208,63 @@ def test_exact_matches_brute_force_on_seeded_graphs(n):
             assert as_tuple(compute(g)) == expected_result(g, variant)
 
 
+def assert_minimizers_attain(g):
+    """Each witness is the isolated count of its minimizer, taken afresh,
+    and each minimizer attains the value, for both parameters."""
+    for shift, compute in ((0, exact_isolated_toughness),
+                           (1, exact_isolated_toughness_variant)):
+        outcome = compute(g)
+        assert len(outcome.witness_i) == len(outcome.minimizers)
+        if outcome.value == INFINITY:
+            assert outcome.minimizers == ()
+            continue
+        assert outcome.minimizers
+        for subset, iso in zip(outcome.minimizers, outcome.witness_i):
+            assert isolated_count(g, subset) == iso, (g, subset)
+            assert iso >= 2
+            assert Fraction(len(subset), iso - shift) == outcome.value
+
+
 @given(graphs(2, 8))
 @settings(max_examples=150, deadline=None)
 def test_minimizers_achieve_the_value(g):
-    outcome = exact_isolated_toughness_variant(g)
-    if outcome.value == INFINITY:
-        assert outcome.minimizers == ()
-        return
-    for subset, iso in zip(outcome.minimizers, outcome.witness_i):
-        assert isolated_count(g, subset) == iso
-        assert iso >= 2
-        assert Fraction(len(subset), iso - 1) == outcome.value
+    assert_minimizers_attain(g)
+
+
+def test_witnesses_on_every_class_through_order_seven():
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            assert_minimizers_attain(g)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_witnesses_on_seeded_graphs(n):
+    rng = random.Random(100 + n)
+    for p in (0.1, 0.25, 0.5, 0.75, 0.9):
+        code = sum(1 << b for b in range(pair_count(n)) if rng.random() < p)
+        assert_minimizers_attain(Graph(n, code))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_witnesses_with_three_or_more_isolated_vertices(n):
+    # the only minimizer is S = {} at ratio 0, which the search reaches
+    # with every J of two or more isolated vertices; the witness counts
+    # them all
+    rng = random.Random(200 + n)
+    for _ in range(4):
+        lonely = set(rng.sample(range(n), rng.randint(3, n)))
+        pairs = itertools.combinations(range(n), 2)
+        g = from_edges(n, [(u, v) for u, v in pairs
+                           if u not in lonely and v not in lonely
+                           and rng.random() < 0.6])
+        iso = isolated_count(g, ())
+        assert iso >= 3
+        for compute in (exact_isolated_toughness,
+                        exact_isolated_toughness_variant):
+            outcome = compute(g)
+            assert (outcome.value, outcome.minimizers,
+                    outcome.witness_i) == (0, ((),), (iso,))
+        assert_minimizers_attain(g)
 
 
 @given(graphs(3, 7))
@@ -284,8 +331,43 @@ def test_floor_mode_gates():
     assert exact_variant_above(Graph(25, 1), Fraction(-1), limit=25) == 0
     with pytest.raises(ValueError):
         exact_variant_above(Graph(0, 0), Fraction(0))
-    with pytest.raises(ValueError):
-        exact_variant_above(Graph(5, 0), INFINITY)
+    for floor in (INFINITY, math.inf, float("inf")):
+        with pytest.raises(ValueError, match="the floor must be finite"):
+            exact_variant_above(Graph(5, 0), floor)
+
+
+@pytest.mark.parametrize("g", [
+    counterexample_family(2, 1), extremal_family(2, 3), star(6),
+    clique_join_singles(2, 3), complete(5),
+    from_bits(5, WORKED_BITS),
+    from_edges(8, [(v, (v + 1) % 8) for v in range(8)]),
+], ids=["counterexample-2-1", "extremal-2-3", "star6", "K2+3K1", "K5",
+        "worked", "C8"])
+def test_floor_types_give_the_same_answer(g):
+    # int, Fraction and finite float floors are compared exactly with I'
+    value = exact_isolated_toughness_variant(g).value
+    floors = [0, 1, 2, 3, 5, Fraction(3, 2), Fraction(7, 3), 0.0, 0.5, 1.5,
+              2.25, 1 / 3, -1, -0.5]
+    if value != INFINITY:
+        floors += [value, float(value), math.floor(value),
+                   float(value) + 1e-9, float(value) - 1e-9]
+    for floor in floors:
+        expected = value if value > floor else None
+        assert exact_variant_above(g, floor) == expected, (g, floor)
+
+
+def test_floor_equal_to_the_value_returns_none():
+    for g, value in ((from_bits(5, WORKED_BITS), Fraction(3)),
+                     (counterexample_family(2, 1), Fraction(5, 2)),
+                     (star(6), Fraction(1, 4)),
+                     (extremal_family(2, 4), Fraction(7, 3))):
+        assert exact_isolated_toughness_variant(g).value == value
+        # the same number as an int or float, where that is exact
+        equal = [floor for floor in (value, float(value), int(value))
+                 if floor == value]
+        for floor in equal:
+            assert exact_variant_above(g, floor) is None, (g, floor)
+        assert exact_variant_above(g, value - Fraction(1, 1000)) == value
 
 
 @pytest.mark.parametrize("g", [
