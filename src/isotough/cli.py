@@ -268,7 +268,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(f"orders up to {survey.n_max} ({mode})")
     print(f"graphs checked: {survey.graphs_checked}")
     print(f"minimizer pairs checked: {survey.pairs_checked}")
-    print(f"differing-cardinality pairs: {len(survey.differing_examples)}")
+    print("graphs with differing-cardinality minimizers:"
+          f" {len(survey.differing_examples)}")
     print(f"{len(survey.violations)} violations")
     for entry in survey.violations:
         print(f"  n={entry.graph.n} bits={entry.graph.bits()}"

@@ -21,7 +21,9 @@ infeasible.
 
 requirement_check is the single acceptance decision: the minimum degree
 delta lies in scope and I' strictly exceeds k + (k-1)/(delta-k+1).  The
-solver, the enumeration and certify_requirement all call it.
+solver, the enumeration and certify_requirement all call it.  A rejection
+with no supplied value carries nothing of its graph, so one frozen
+verdict per reason, k and delta is shared by all of them.
 """
 
 from __future__ import annotations
@@ -205,35 +207,49 @@ class RequirementVerdict:
     value: Optional[Ratio]
 
 
+@functools.cache
+def _rejection(reason: str, delta: int,
+               k: Optional[int] = None) -> RequirementVerdict:
+    """The verdict shared by every valueless rejection with this reason and
+    minimum degree, and with this k for a value rejection, which carries
+    the bound.  Cached: a frozen verdict costs about a microsecond to
+    build.  Bounded by construction: delta <= 63, and k <= delta wherever
+    k is part of the key.
+    """
+    bound = None if k is None else requirement_bound(k, delta)
+    return RequirementVerdict(False, reason, delta, bound, None)
+
+
 def requirement_check(g: Graph, k: int, scope: tuple[int, int],
                       value: Optional[Ratio] = None) -> RequirementVerdict:
     """Accept iff the minimum degree sits in scope and the variant
     toughness strictly exceeds the degree-dependent bound.
 
     This is the one acceptance rule.  A supplied value (exact, or a
-    screening estimate) is compared as given.  With none, a degree out of
-    scope rejects with no search; otherwise the early-exit exact search
-    decides, and a graph it rejects carries value None, not its I'.
+    screening estimate) is compared as given, and every verdict carries
+    that same object.  With none, a degree out of scope rejects with no
+    search; otherwise the early-exit exact search decides, and a graph it
+    rejects carries value None, not its I'.  Rejections without a value
+    share one verdict per reason, k and delta.
     """
     if k < 2:
         raise ValueError("capacity k must be at least 2")
     delta = g.min_degree
-    if delta < k:
-        return RequirementVerdict(False, "degree-below-k", delta, None, value)
     lo, hi = scope
-    if not lo <= delta <= hi:
-        return RequirementVerdict(False, "degree-out-of-scope", delta, None,
-                                  value)
+    if delta < k or not lo <= delta <= hi:
+        reason = "degree-below-k" if delta < k else "degree-out-of-scope"
+        if value is None:
+            return _rejection(reason, delta)
+        return RequirementVerdict(False, reason, delta, None, value)
     bound = requirement_bound(k, delta)
     if value is None:  # the search returns only a value above the bound
         value = exact_variant_above(g, bound)
-        accepted = value is not None
-    else:
-        accepted = value > bound
-    if accepted:
-        return RequirementVerdict(True, "accepted", delta, bound, value)
-    return RequirementVerdict(False, "value-not-above-bound", delta, bound,
-                              value)
+        if value is None:
+            return _rejection("value-not-above-bound", delta, k)
+    elif not value > bound:
+        return RequirementVerdict(False, "value-not-above-bound", delta,
+                                  bound, value)
+    return RequirementVerdict(True, "accepted", delta, bound, value)
 
 
 @dataclass(frozen=True)

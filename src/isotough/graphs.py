@@ -5,6 +5,12 @@ the p-th vertex pair in row-major upper-triangular order:
 (0,1), (0,2), ..., (0,n-1), (1,2), ..., (n-2,n-1).
 The encoding doubles as the chromosome of the evolutionary solver, so all
 operations here are pure functions on immutable values.
+
+A Graph decodes its adjacency rows and degrees on first access and keeps
+them in its instance dict, with no lock: the decode is pure, so a race
+at worst computes it twice.  Equality, hashing and repr read only the
+order and the code, so they do not depend on whether a graph has been
+decoded.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapacityError, GraphParseError
@@ -85,6 +91,28 @@ def _decode_layout(n: int) -> tuple[tuple[tuple[int, int], ...],
     return tuple(steps), tuple(swaps), unpack, n * side // 8
 
 
+class _lazy:
+    """A computed attribute stored in the instance dict on first access.
+
+    Like functools.cached_property, which takes a per-instance lock on
+    every first access up to Python 3.11, but with no lock: the value is
+    pure, so two threads racing on one graph at worst both compute it.
+    After the first access the instance dict answers and this descriptor
+    is not consulted.  A frozen dataclass still refuses assignment.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable graph; `code` packs the upper-triangular bit string."""
@@ -101,7 +129,7 @@ class Graph:
         if not 0 <= self.code < 1 << pair_count(self.n):
             raise ValueError("encoded bits do not fit the given order")
 
-    @cached_property
+    @_lazy
     def adjacency(self) -> tuple[int, ...]:
         """Neighbor bitmask per vertex, decoded word-parallel.
 
@@ -123,7 +151,7 @@ class Graph:
             matrix ^= swapped | swapped << distance
         return unpack.unpack((matrix | upper).to_bytes(size, "little"))
 
-    @cached_property
+    @_lazy
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(int.bit_count, self.adjacency))
 

@@ -20,7 +20,9 @@ branch when its best reachable ratio, |N(J)| over |J| + |candidates|,
 is strictly above the best found (so ties survive), or when a
 passed-over vertex outside N(J) has its whole neighbourhood in N(J),
 which leaves no closed extension.  Ratios are compared by integer
-cross-multiplication.
+cross-multiplication.  The value is interned: every search that ends on
+the same ratio returns the same Fraction object, from a cache of at most
+65 x 65 entries since both terms are at most n <= 64.
 
 exact_variant_above runs the same search in floor mode, for callers that
 only need I' when it strictly clears a bound: the floor enters as an
@@ -45,7 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CapacityError
@@ -60,6 +64,21 @@ class ToughnessResult:
     value: Ratio
     minimizers: tuple[tuple[int, ...], ...]
     witness_i: tuple[int, ...]
+
+
+@cache
+def _ratio(num: int, den: int) -> Fraction:
+    """The one shared Fraction equal to num/den.
+
+    Building a Fraction takes about five times as long as a cache hit.
+    Every engine value is |N(J)| / f(|J|) with both terms at most
+    n <= 64, so the cache holds at most 65 x 65 entries.  Unreduced pairs map to the
+    object of the reduced one, so equal values are the same object.
+    """
+    common = gcd(num, den)
+    if common > 1:
+        return _ratio(num // common, den // common)
+    return Fraction(num, den)
 
 
 class _AtOrBelowFloor(Exception):
@@ -140,7 +159,7 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     visit(0, 0, (1 << n) - 1, 0)
     if best_num < 0:
         return INFINITY, {}
-    return Fraction(best_num, best_den), best_masks
+    return _ratio(best_num, best_den), best_masks
 
 
 def _members(mask: int) -> tuple[int, ...]:

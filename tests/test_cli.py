@@ -268,6 +268,16 @@ def test_explore_small_survey(capsys):
     assert "0 violations" in out
 
 
+def test_explore_counts_graphs_with_differing_cardinality(capsys):
+    # at most one example is kept per graph: 311 graphs hold the 1895
+    # pairs of different sizes at order 7
+    assert main(["explore", "--n-max", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "minimizer pairs checked: 14165\n" in out
+    assert "graphs with differing-cardinality minimizers: 311\n" in out
+    assert "differing-cardinality pairs" not in out
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_explore_rejects_unusable_sample_count(samples, capsys):
     assert main(["explore", "--n-max", "8", "--samples", samples]) == 1

@@ -27,6 +27,7 @@ from isotough.graphs import (
     empty_graph,
     from_bits,
     from_edges,
+    join,
     pair_count,
     star,
 )
@@ -232,6 +233,47 @@ def test_requirement_check_rejects_out_of_scope_degree_with_no_search(
     assert (out.accepted, out.reason) == (False, "degree-out-of-scope")
     low = requirement_check(star(5), 2, (2, 3))
     assert (low.accepted, low.reason) == (False, "degree-below-k")
+
+
+def test_valueless_rejections_are_shared_per_reason_k_and_delta():
+    scope = (2, 3)
+    cases = [
+        # (reason, k, two graphs with the same minimum degree)
+        ("degree-below-k", 2, star(5), star(7)),
+        ("degree-out-of-scope", 2, complete(5),
+         Graph(6, complete(6).code & ~from_edges(6, [(0, 1), (2, 3), (4, 5)])
+               .code)),
+        ("value-not-above-bound", 2, counterexample_family(2, 0),
+         from_edges(6, [(v, (v + 1) % 6) for v in range(6)])),
+    ]
+    for reason, k, first, second in cases:
+        one = requirement_check(first, k, scope)
+        other = requirement_check(second, k, scope)
+        assert (one.accepted, one.reason) == (False, reason)
+        assert one == other and one is other
+        assert one.value is None
+        assert one.delta == first.min_degree == second.min_degree
+        expected = requirement_bound(k, one.delta) \
+            if reason == "value-not-above-bound" else None
+        assert one.bound == expected
+    # the bound depends on k, so a value rejection is shared per k
+    g = join(empty_graph(3), empty_graph(4))  # K3,4: I' = 1, delta = 3
+    at2 = requirement_check(g, 2, (2, 3))
+    at3 = requirement_check(g, 3, (3, 3))
+    assert (at2.reason, at2.delta, at2.bound) \
+        == ("value-not-above-bound", 3, Fraction(5, 2))
+    assert (at3.reason, at3.delta, at3.bound) \
+        == ("value-not-above-bound", 3, Fraction(5))
+    assert requirement_check(g, 3, (3, 3)) is at3
+
+
+def test_supplied_value_is_carried_as_given():
+    scope = (2, 3)
+    for g in (star(5), complete(5), counterexample_family(2, 0),
+              complete(4)):
+        for value in (Fraction(3), Fraction(10), INFINITY, 2.5):
+            assert requirement_check(g, 2, scope, value=value).value \
+                is value
 
 
 # ----- certification --------------------------------------------------------

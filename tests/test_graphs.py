@@ -1,8 +1,11 @@
 """Encoding, families, structural queries, and serialization."""
 
+import copy
 import json
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -138,6 +141,52 @@ def test_adjacency_matches_pair_loop(n):
         else:
             with pytest.raises(ValueError):
                 g.min_degree
+
+
+def test_decode_runs_once_per_graph():
+    g = from_bits(5, WORKED_BITS)
+    assert "adjacency" not in vars(g) and "degrees" not in vars(g)
+    assert g.adjacency is g.adjacency
+    assert g.degrees is g.degrees
+    assert vars(g)["adjacency"] is g.adjacency
+    assert g.degrees == (4, 2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("name", ["adjacency", "degrees", "n"])
+@pytest.mark.parametrize("decoded", [False, True], ids=["fresh", "decoded"])
+def test_graph_refuses_assignment(name, decoded):
+    g = from_bits(5, WORKED_BITS)
+    if decoded:
+        g.degrees
+    with pytest.raises(FrozenInstanceError):
+        setattr(g, name, (0,) * 5)
+    assert g.n == 5
+    assert g.adjacency == adjacency_by_pairs(g)
+    assert g.degrees == (4, 2, 2, 2, 2)
+
+
+def test_equality_hash_and_repr_ignore_the_decode():
+    fresh, decoded = from_bits(5, WORKED_BITS), from_bits(5, WORKED_BITS)
+    decoded.degrees
+    assert fresh == decoded and decoded == fresh
+    assert hash(fresh) == hash(decoded)
+    assert repr(fresh) == repr(decoded) == f"Graph(n=5, code={fresh.code})"
+    assert len({fresh, decoded}) == 1
+    assert fresh != from_bits(5, "1111010011")
+
+
+@pytest.mark.parametrize("decoded", [False, True], ids=["fresh", "decoded"])
+def test_pickle_and_copy_keep_the_graph(decoded):
+    for g in (from_bits(5, WORKED_BITS), star(9), Graph(64, 0)):
+        if decoded:
+            g.degrees
+        for clone in (pickle.loads(pickle.dumps(g)), copy.copy(g),
+                      copy.deepcopy(g)):
+            assert clone == g and hash(clone) == hash(g)
+            assert clone.adjacency == adjacency_by_pairs(g) == g.adjacency
+            assert clone.degrees == g.degrees
+            with pytest.raises(FrozenInstanceError):
+                clone.adjacency = ()
 
 
 # ----- isolated vertex counting ---------------------------------------------

@@ -1,6 +1,7 @@
 """Exhaustive enumeration, minimizer survey and benchmark oracles."""
 
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -13,10 +14,12 @@ from isotough.errors import CapacityError, ScopeError
 from isotough.factors import requirement_bound
 from isotough.graphs import Graph, complete, from_bits, from_edges, \
     pair_count
-from isotough.oracle import _min_code, benchmark, enumerate_exact, \
-    explore_minimizers, nonisomorphic_graphs
+from isotough.oracle import MinimizerSurvey, MinimizerViolation, \
+    _min_code, benchmark, enumerate_exact, explore_minimizers, \
+    nonisomorphic_graphs
 from isotough.rational import INFINITY
-from isotough.toughness import exact_isolated_toughness_variant
+from isotough.toughness import ToughnessResult, exact_isolated_toughness, \
+    exact_isolated_toughness_variant
 
 
 def test_enumeration_validation():
@@ -210,6 +213,81 @@ def test_minimizer_survey_small_orders():
     for example in survey.differing_examples:
         assert len(example.variant_set) > len(example.plain_set)
         assert example.variant_isolated > example.plain_isolated
+
+
+def survey_by_every_pair(graphs,
+                         variant_engine=exact_isolated_toughness_variant):
+    """Reference survey: every plain minimizer against every variant one,
+    counting each pair and skipping the ones of equal size."""
+    survey = MinimizerSurvey(n_max=0, graphs_checked=0, pairs_checked=0,
+                             violations=[], differing_examples=[])
+    for g in graphs:
+        plain = exact_isolated_toughness(g)
+        variant = variant_engine(g)
+        if plain.value == INFINITY or variant.value == INFINITY:
+            continue
+        survey.graphs_checked += 1
+        recorded = False
+        for s_plain, iso_plain in zip(plain.minimizers, plain.witness_i):
+            for s_variant, iso_variant in zip(variant.minimizers,
+                                              variant.witness_i):
+                survey.pairs_checked += 1
+                if len(s_plain) == len(s_variant):
+                    continue
+                entry = MinimizerViolation(g, s_plain, s_variant,
+                                           iso_plain, iso_variant)
+                if len(s_variant) > len(s_plain) \
+                        and iso_variant > iso_plain:
+                    if not recorded:
+                        survey.differing_examples.append(entry)
+                        recorded = True
+                else:
+                    survey.violations.append(entry)
+    return survey
+
+
+def test_order_seven_survey_contents():
+    # the survey visits only pairs of different sizes; its examples, in
+    # order, are those of a scan over every pair (digest recorded from
+    # that scan)
+    survey = explore_minimizers(7)
+    assert (survey.graphs_checked, survey.pairs_checked) == (1245, 14165)
+    assert survey.violations == []
+    assert len(survey.differing_examples) == 311
+    rows = [(e.graph.bits(), e.plain_set, e.variant_set, e.plain_isolated,
+             e.variant_isolated) for e in survey.differing_examples]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() \
+        == "0669be538af79e84446d53cb536f1b52b50eed1e53a80a15b900630ecb0b7fdd"
+
+
+def test_survey_matches_a_scan_of_every_pair():
+    survey = explore_minimizers(8, samples=30, seed=5)
+    rng = random.Random(5)
+    graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
+    graphs += [Graph(8, oracle._bernoulli_mask(rng, pair_count(8), 0.5))
+               for _ in range(30)]
+    expected = survey_by_every_pair(graphs)
+    assert (survey.graphs_checked, survey.pairs_checked) \
+        == (expected.graphs_checked, expected.pairs_checked)
+    assert survey.differing_examples == expected.differing_examples
+    assert survey.violations == expected.violations == []
+
+
+def test_survey_records_violations_in_pair_order(monkeypatch):
+    # with every variant witness negated, each pair of different sizes
+    # breaks the rule and is recorded, in the order of the full product
+    def negated(g):
+        result = exact_isolated_toughness_variant(g)
+        return ToughnessResult(result.value, result.minimizers,
+                               tuple(-i for i in result.witness_i))
+
+    expected = survey_by_every_pair(
+        [g for n in range(1, 7) for g in nonisomorphic_graphs(n)], negated)
+    monkeypatch.setattr(oracle, "exact_isolated_toughness_variant", negated)
+    survey = explore_minimizers(6)
+    assert survey.violations and not survey.differing_examples
+    assert survey.violations == expected.violations
+    assert survey.pairs_checked == expected.pairs_checked
 
 
 def test_minimizer_survey_samples_beyond_exhaustive_range():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isotough import toughness
 from isotough.errors import CapacityError
 from isotough.factors import requirement_bound
 from isotough.graphs import (
@@ -378,6 +379,39 @@ def test_floor_mode_at_order_24(g):
     value = Fraction(12, 11)
     assert exact_variant_above(g, value - Fraction(1, 10 ** 6)) == value
     assert exact_variant_above(g, value) is None
+
+
+def test_engine_values_are_shared_fractions():
+    # every value is one interned Fraction per ratio, whichever unreduced
+    # pair |N(J)| / f(|J|) the search ended on
+    shared = {}
+    for n in range(2, 8):
+        for g in nonisomorphic_graphs(n):
+            plain = exact_isolated_toughness(g).value
+            variant = exact_isolated_toughness_variant(g).value
+            if variant == INFINITY:
+                assert plain == INFINITY
+                continue
+            above = exact_variant_above(g, variant - Fraction(1, 100))
+            for value in (plain, variant, above):
+                assert type(value) is Fraction
+                fresh = Fraction(value.numerator, value.denominator)
+                assert value == fresh and hash(value) == hash(fresh)
+                assert shared.setdefault(value, value) is value
+    assert len(shared) == 17
+    assert toughness._ratio(6, 4) is toughness._ratio(3, 2) \
+        is shared[Fraction(3, 2)]
+    assert toughness._ratio(0, 5) is toughness._ratio(0, 1) is shared[0]
+
+
+def test_ratio_cache_stays_within_its_bound():
+    # both terms of an engine ratio are at most n <= 64
+    for g in (join(empty_graph(30), empty_graph(34)), Graph(64, 1),
+              star(64)):
+        exact_isolated_toughness(g, limit=64)
+        exact_isolated_toughness_variant(g, limit=64)
+    info = toughness._ratio.cache_info()
+    assert info.currsize <= 65 * 65
 
 
 # ----- roulette selection ---------------------------------------------------
