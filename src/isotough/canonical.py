@@ -3,6 +3,9 @@
 Canonical labeling uses iterated degree refinement plus an
 individualization search: branch on the vertices of the first smallest
 non-singleton color class and relabel each leaf by its discrete coloring.
+Refinement starts from the degree ranks and stops at a discrete coloring,
+and the neighbor rows and edges come from the set bits of the adjacency
+masks, so a graph pays for no setup round or vertex scan.
 The canonical code is the smallest relabeled encoding over the leaves of
 that search tree.  The tree depends only on the isomorphism class, so the
 code is a class invariant; it is not in general the smallest encoding over
@@ -22,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, set_bits
 
 # Every order up to MAX_ORDER is labeled exactly.  The name stays because
 # callers outside the package (perfbench) still compare orders against it.
@@ -34,9 +37,13 @@ def _refine(adj: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
 
     A vertex's signature is its color plus its sorted neighbor colors; the
     neighbor part only orders vertices within a class, so singletons skip it.
+    A discrete coloring is returned as it stands: another round would only
+    renumber it, and a leaf orders vertices by color either way.
     """
     while True:
         sizes = Counter(colors)
+        if len(sizes) == len(colors):
+            return colors
         color_of = colors.__getitem__
         sigs = [(c, tuple(sorted(map(color_of, adj[v]))) if sizes[c] > 1
                  else ()) for v, c in enumerate(colors)]
@@ -80,8 +87,8 @@ def canonical_code(g: Graph) -> int:
     n = g.n
     if n <= 1:
         return 0
-    adj = tuple(g.neighbors(v) for v in range(n))
-    edges = tuple(g.edges())
+    adj = tuple(map(set_bits, g.adjacency))
+    edges = [(u, v) for u, row in enumerate(adj) for v in row if v > u]
     row = [a * (n - 1) - a * (a - 1) // 2 - a - 1 for a in range(n)]
 
     best: dict = {"code": None, "order": None, "path": None}
@@ -137,7 +144,9 @@ def canonical_code(g: Graph) -> int:
             merged = len(autos)
         return depth
 
-    search(_refine(adj, [0] * n))
+    # one refinement round from a uniform coloring ranks the degrees
+    rank = {d: i for i, d in enumerate(sorted(set(g.degrees)))}
+    search(_refine(adj, [rank[d] for d in g.degrees]))
     return best["code"]
 
 

@@ -6,27 +6,32 @@ Exit codes: 0 success, 1 usage or input errors, 2 capacity refusals,
 All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
 only, never into files; the manifest keeps a null timings slot.
+
+Result files are indent-2 JSON written as text by the writer in graphs:
+the manifest with sorted keys, composed from records rendered once, and
+the selected graphs in graph_to_json's key order.  The argument parser is
+built once per process and reused by every main call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
 
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, ScopeError
-from .evolve import DEFAULT_SEED, RunResult, SolverConfig, report, \
-    run_solver
+from .evolve import DEFAULT_SEED, CandidateRecord, RunResult, SolverConfig, \
+    SolverReport, report, run_solver
 from .factors import FactorSpec, certify_requirement, delta_scope, \
     fractional_k_factor, has_fractional_factor
 from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     counterexample_family, disjoint_cliques, empty_graph, extremal_family, \
     from_bits, graph_from_json, graph_to_dot, graph_to_json, \
-    graph_to_json_text, star
+    graph_to_json_text, json_array, json_object, json_text, json_value, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
 from .toughness import DEFAULT_EXACT_LIMIT, exact_isolated_toughness, \
@@ -62,30 +67,41 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 # ----- subcommand handlers --------------------------------------------------
 
-def _record_json(record) -> dict:
-    return {
-        "generation": record.generation,
-        "delta": record.delta,
-        "value": format_ratio(record.value),
-        "verified": record.verified,
-        "bits": record.graph.bits(),
-    }
+def _record_text(record: CandidateRecord) -> str:
+    """A record as it opens in the manifest's archive, at depth 2."""
+    return json_object((
+        ("bits", json_value(record.graph.bits())),
+        ("delta", json_value(record.delta)),
+        ("generation", json_value(record.generation)),
+        ("value", json_value(format_ratio(record.value))),
+        ("verified", json_value(record.verified)),
+    ), 2)
 
 
-def _manifest(result: RunResult, summary, i_primes: dict[int, str]) -> dict:
+def _manifest_text(result: RunResult, summary: SolverReport,
+                   graphs: list[dict]) -> str:
+    """manifest.json: the run record, with every object's keys sorted.
+
+    Each record is rendered once.  A harvested record is also in the
+    archive, and opens two levels deeper (four spaces).
+    """
     config = result.config
+    archive = [_record_text(r) for r in result.archive]
+    text_of = {id(r): text for r, text in zip(result.archive, archive)}
     generations = []
     for entry in result.generations:
-        generations.append({
-            "generation": entry.generation,
-            "accepted": {str(d): len(records)
-                         for d, records in sorted(entry.buckets.items())},
-            "harvested": {str(d): _record_json(r)
-                          for d, r in sorted(entry.harvested.items())},
-            "rejects": entry.rejects,
-        })
-    return {
-        "config": {
+        harvested = {str(d): text_of[id(r)].replace("\n", "\n    ")
+                     for d, r in entry.harvested.items()}
+        generations.append(json_object((
+            ("accepted", json_value({str(d): len(records) for d, records
+                                     in entry.buckets.items()},
+                                    3, sort_keys=True)),
+            ("generation", json_value(entry.generation)),
+            ("harvested", json_object(sorted(harvested.items()), 3)),
+            ("rejects", json_value(entry.rejects)),
+        ), 2))
+    fields = {
+        "config": json_value({
             "n": config.n,
             "k": config.k,
             "population_size": config.population_size,
@@ -95,17 +111,19 @@ def _manifest(result: RunResult, summary, i_primes: dict[int, str]) -> dict:
             "seed": config.seed,
             "scope": list(result.scope),
             "exact_verify_limit": config.exact_verify_limit,
-        },
-        "generations": generations,
-        "archive": [_record_json(r) for r in result.archive],
-        "unverified": [_record_json(r) for r in result.unverified],
-        "diversified": [graph_to_json(g, i_primes[g.code])
-                        for g in result.diversified.selected],
-        "optima": {str(d): None if v is None else format_ratio(v)
-                   for d, v in summary.optima.items()},
-        "counts": {str(d): c for d, c in summary.counts.items()},
-        "timings": None,
+        }, 1, sort_keys=True),
+        "generations": json_array(generations, 1),
+        "archive": json_array(archive, 1),
+        "unverified": json_array(map(_record_text, result.unverified), 1),
+        "diversified": json_value(graphs, 1, sort_keys=True),
+        "optima": json_value({str(d): None if v is None else format_ratio(v)
+                              for d, v in summary.optima.items()},
+                             1, sort_keys=True),
+        "counts": json_value({str(d): c for d, c in summary.counts.items()},
+                             1, sort_keys=True),
+        "timings": json_value(None),
     }
+    return json_object(sorted(fields.items())) + "\n"
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -123,12 +141,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     # diversity_enhancement picks only from the archive, so every selected
     # graph has its exact I' here
-    i_primes = {r.graph.code: format_ratio(r.value) for r in result.archive}
+    values = {r.graph.code: r.value for r in result.archive}
+    graphs = [graph_to_json(g, format_ratio(values[g.code]))
+              for g in result.diversified.selected]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(
-        json.dumps(_manifest(result, summary, i_primes), indent=2,
-                   sort_keys=True) + "\n")
+        _manifest_text(result, summary, graphs))
 
     with (out / "summary.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -139,9 +158,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "Null" if value is None else format_ratio(value),
                              summary.counts[delta]])
 
-    for rank, g in enumerate(result.diversified.selected):
-        (out / f"selected-{rank}.json").write_text(
-            graph_to_json_text(g, i_primes[g.code]))
+    for rank, (g, doc) in enumerate(zip(result.diversified.selected,
+                                        graphs)):
+        (out / f"selected-{rank}.json").write_text(json_text(doc))
         (out / f"selected-{rank}.dot").write_text(graph_to_dot(g))
 
     print(f"scope {result.scope[0]}..{result.scope[1]}")
@@ -424,10 +443,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls and
+    # returns a fresh namespace each time.
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:

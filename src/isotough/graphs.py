@@ -11,6 +11,13 @@ them in its instance dict, with no lock: the decode is pure, so a race
 at worst computes it twice.  Equality, hashing and repr read only the
 order and the code, so they do not depend on whether a graph has been
 decoded.
+
+Result files are indent-2 JSON text built by `json_text` and its parts
+`json_value`, `json_object` and `json_array`.  They write exactly what
+`json.dumps(value, indent=2, sort_keys=...)` writes, at a fraction of
+the cost: CPython's json falls back to its pure-Python encoder whenever
+`indent` is set.  The parts let a caller compose a document from
+fragments it renders once, as `solve` does for its manifest.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import json
 import struct
 from dataclasses import dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapacityError, GraphParseError
@@ -45,6 +53,16 @@ def edge_index(u: int, v: int, n: int) -> int:
         u, v = v, u
     row_start = u * (n - 1) - u * (u - 1) // 2
     return row_start + (v - u - 1)
+
+
+def set_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
 
 
 @cache
@@ -187,8 +205,7 @@ class Graph:
         return self.code == (1 << pair_count(self.n)) - 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.adjacency[v]
-        return tuple(u for u in range(self.n) if (mask >> u) & 1)
+        return set_bits(self.adjacency[v])
 
 
 def from_bits(n: int, bits: Union[str, Sequence[int]]) -> Graph:
@@ -335,7 +352,65 @@ def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
 
 
 def graph_to_json_text(g: Graph, i_prime: str | None = None) -> str:
-    return json.dumps(graph_to_json(g, i_prime), indent=2) + "\n"
+    """graph_to_json as a file, keys in the dict's order."""
+    return json_text(graph_to_json(g, i_prime))
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def json_object(fields: Iterable[tuple[str, str]], depth: int = 0) -> str:
+    """An object from (key, rendered value) pairs, in the order given.
+
+    `depth` is the nesting level of the line the object opens on; each
+    value must have been rendered one level deeper.
+    """
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    body = ("," + inner).join([f"{encode_basestring_ascii(key)}: {text}"
+                               for key, text in fields])
+    return f"{{{inner}{body}{newline}}}" if body else "{}"
+
+
+def json_array(items: Iterable[str], depth: int = 0) -> str:
+    """An array of rendered values; `depth` as for json_object."""
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{newline}]" if body else "[]"
+
+
+def json_value(value, depth: int = 0, sort_keys: bool = False) -> str:
+    """Indent-2 text of a value made of dicts with str keys, lists, tuples
+    and scalars, without the final line break; `depth` as for
+    json_object.  Floats, and whatever json itself would reject, go to
+    json.dumps."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else value.items()
+        return json_object([(key, json_value(item, depth + 1, sort_keys))
+                            for key, item in items], depth)
+    if isinstance(value, (list, tuple)):
+        try:  # an array of scalars, such as an edge, needs no call per item
+            items = [_SCALARS[type(item)](item) for item in value]
+        except KeyError:
+            items = [json_value(item, depth + 1, sort_keys)
+                     for item in value]
+        return json_array(items, depth)
+    return json.dumps(value)
+
+
+def json_text(value, sort_keys: bool = False) -> str:
+    """Exactly `json.dumps(value, indent=2, sort_keys=sort_keys) + "\\n"`
+    for the values json_value takes."""
+    return json_value(value, 0, sort_keys) + "\n"
 
 
 def graph_from_json(source: Union[str, dict]) -> Graph:

@@ -24,11 +24,17 @@ def is_infinite(value: Ratio) -> bool:
 
 
 def format_ratio(value: Ratio) -> str:
-    """Render as "p/q" (always with an explicit denominator) or "inf"."""
-    if is_infinite(value):
-        return "inf"
-    frac = Fraction(value)
-    return f"{frac.numerator}/{frac.denominator}"
+    """Render as "p/q" (always with an explicit denominator) or "inf".
+
+    -inf raises OverflowError and NaN ValueError, as Fraction would.
+    """
+    try:
+        numerator, denominator = value.as_integer_ratio()
+    except OverflowError:
+        if value == INFINITY:
+            return "inf"
+        raise
+    return f"{numerator}/{denominator}"
 
 
 def parse_ratio(text: str) -> Ratio:

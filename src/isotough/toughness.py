@@ -53,7 +53,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, set_bits
 from .rational import INFINITY, Ratio
 
 DEFAULT_EXACT_LIMIT = 24
@@ -162,19 +162,10 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     return _ratio(best_num, best_den), best_masks
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
-
-
 def _full_result(g: Graph, variant: bool, limit: int) -> ToughnessResult:
     value, sizes = _independent_set_search(g, variant, limit)
     masks = sorted(sizes)
-    return ToughnessResult(value, tuple(map(_members, masks)),
+    return ToughnessResult(value, tuple(map(set_bits, masks)),
                            tuple(map(sizes.__getitem__, masks)))
 
 

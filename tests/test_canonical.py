@@ -1,7 +1,9 @@
 """Canonical labeling, isomorphism checks, and deduplication."""
 
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -21,7 +23,8 @@ from isotough.canonical import (
     deduplicate,
 )
 from isotough.graphs import Graph, complete, counterexample_family, \
-    edge_index, empty_graph, from_edges, pair_count, star
+    disjoint_cliques, edge_index, empty_graph, extremal_family, from_edges, \
+    pair_count, star
 
 
 def to_networkx(g):
@@ -79,6 +82,42 @@ def test_equal_canonical_codes_iff_isomorphic(g1, g2):
         return
     expected = g2.code in all_relabeled_codes(g1)
     assert (canonical_code(g1) == canonical_code(g2)) == expected
+
+
+def pinned_graphs():
+    """Seeded G(n, p) graphs at orders 2-64 and symmetric families."""
+    rng = random.Random(2014)
+    for n in range(2, 65):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            code = 0
+            for bit in range(pair_count(n)):
+                if rng.random() < p:
+                    code |= 1 << bit
+            yield Graph(n, code)
+    yield complete_bipartite(8, 8)
+    yield counterexample_family(3, 3)
+    yield counterexample_family(2, 4)
+    yield extremal_family(3, 4)
+    yield extremal_family(2, 6)
+    yield disjoint_cliques(4, 4)
+    yield disjoint_cliques(6, 3)
+    for n in (3, 8, 17, 33, 64):
+        yield from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+# sha256 over "n:code" lines of pinned_graphs().  The codes are part of
+# solve's output through its canonical tie-break, so a change to the
+# labelling that renumbers colors or picks other cells changes this; update
+# it only for an intended change, and log it.
+PINNED_CODES_SHA256 = \
+    "3dc54cb842decb1482580d1324a0f221a4ff347fc0b48cbd52cf0af2365a106d"
+
+
+def test_canonical_codes_match_pinned_digest():
+    digest = hashlib.sha256()
+    for g in pinned_graphs():
+        digest.update(f"{g.n}:{canonical_code(g)}\n".encode())
+    assert digest.hexdigest() == PINNED_CODES_SHA256
 
 
 def test_relabeled_paths_share_canonical_form():

@@ -14,10 +14,14 @@ from pathlib import Path
 import pytest
 
 import isotough
+from isotough import cli
 from isotough.cli import build_parser, main
 from isotough.evolve import DEFAULT_SEED, SolverConfig
-from isotough.graphs import counterexample_family, from_edges, \
-    graph_from_json, graph_to_json_text, star
+from isotough.factors import delta_scope
+from isotough.graphs import clique_join_blocks, clique_join_singles, \
+    complete, counterexample_family, disjoint_cliques, empty_graph, \
+    extremal_family, from_edges, graph_from_json, graph_to_json, \
+    graph_to_json_text, star
 from isotough.oracle import benchmark
 from isotough.rational import parse_ratio
 from isotough.toughness import DEFAULT_EXACT_LIMIT
@@ -175,6 +179,27 @@ def test_family_alias_flags(capsys):
     first = capsys.readouterr().out
     assert main(["family", "extremal", "--k", "2", "--l", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, g", [
+    (["complete", "--n", "5"], complete(5)),
+    (["empty", "--n", "4"], empty_graph(4)),
+    (["empty", "--n", "0"], empty_graph(0)),
+    (["star", "--n", "6"], star(6)),
+    (["cliques", "--m", "3", "--b", "2"], disjoint_cliques(3, 2)),
+    (["clique-singles", "--c", "2", "--d", "3"], clique_join_singles(2, 3)),
+    (["clique-blocks", "--c", "1", "--m", "2", "--b", "3"],
+     clique_join_blocks(1, 2, 3)),
+    (["extremal", "--k", "2", "--l", "3"], extremal_family(2, 3)),
+    (["counterexample", "--k", "2", "--t", "1"], counterexample_family(2, 1)),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_family_json_is_the_indented_dump(argv, g, capsys):
+    # the text writer must emit what json.dumps(indent=2) emits
+    assert main(["family", *argv, "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(graph_to_json(g), indent=2) + "\n"
+    if g.n == 0:
+        assert '"i_prime": null' in text
 
 
 # ----- certify --------------------------------------------------------------
@@ -490,6 +515,55 @@ def test_solve_empty_archive_still_writes_manifest(capsys, tmp_path):
     assert manifest["diversified"] == []
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 7, 9, 12, 17, 25])
+def test_solve_files_are_the_indented_dumps(n, seed, capsys, tmp_path):
+    # the manifest is written as text: it must be what json.dumps with
+    # indent=2 and sorted keys writes for its data, and each selected file
+    # what indent=2 writes in insertion order.  Order 5 archives nothing
+    # (exit 3); order 25 is above the verify gate, so its records are
+    # unverified; the mutation rates exercise float repr.
+    k = 2 if n < 9 else 3
+    lo, hi = delta_scope(n, k)
+    variants = [[], ["--scope", str(lo), str(min(lo + 1, hi)),
+                     "--mutation-rate", "0.05"],
+                ["--mutation-rate", "1e-05"]]
+    unverified = []
+    for index, flags in enumerate(variants):
+        out = tmp_path / str(index)
+        code = main(["solve", "--n", str(n), "--k", str(k), "--seed",
+                     str(seed), "--generations", "10", "--out", str(out),
+                     *flags])
+        capsys.readouterr()
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        assert code == (0 if manifest["archive"] else 3)
+        if n == 5:
+            assert code == 3 and manifest["diversified"] == []
+        unverified += manifest["unverified"]
+        for path in out.glob("selected-*.json"):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert bool(unverified) == (n == 25)
+    assert all(record["verified"] is False for record in unverified)
+
+
+def test_manifest_sorts_degree_keys_as_strings(capsys, tmp_path):
+    # at (23,2), seed 1, a generation harvests degrees on both sides of 10;
+    # sorted keys put "10" before "9"
+    out = tmp_path / "run"
+    assert main(["solve", "--n", "23", "--k", "2", "--seed", "1",
+                 "--generations", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "manifest.json").read_text()
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert any(min(map(int, entry["harvested"])) < 10
+               <= max(map(int, entry["harvested"]))
+               for entry in manifest["generations"] if entry["harvested"])
+
+
 def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(SOLVE_FAST + ["--out", str(out)]) == 0
@@ -501,6 +575,44 @@ def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):
         shown = capsys.readouterr().out
         assert f"delta = {entry['delta']}" in shown
         assert f"I' = {entry['i_prime']}" in shown
+
+
+# ----- the parser ------------------------------------------------------------
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    assert main(["scope", "--n", "7", "--k", "2"]) == 0
+
+    def rebuilt():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["scope", "--n", "9", "--k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["2..3", "2..4"]
+
+
+def test_usage_error_then_valid_call(capsys):
+    assert main(["scope", "--n", "7"]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert main(["scope", "--n", "7", "--k", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2..3\n" and captured.err == ""
+
+
+def test_parsed_state_stays_per_call(capsys, tmp_path):
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(SOLVE_FAST + ["--seed", "5", "--scope", "3", "3",
+                              "--out", str(first)]) == 0
+    assert main(["scope", "--n", "7", "--k", "2"]) == 0
+    assert capsys.readouterr().out.endswith("2..3\n")
+    assert main(SOLVE_FAST + ["--out", str(second)]) == 0
+    capsys.readouterr()
+    config = json.loads((second / "manifest.json").read_text())["config"]
+    assert config["seed"] == DEFAULT_SEED
+    assert config["scope"] == [2, 3]
+    assert main(["family", "star", "--n", "4", "--format", "dot"]) == 0
+    assert main(["family", "star", "--n", "4"]) == 0
+    assert capsys.readouterr().out.split("}\n", 1)[1] \
+        == graph_to_json_text(star(4))
 
 
 # ----- runtime dependencies -------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -31,7 +32,9 @@ from isotough.graphs import (
     hamming_distance,
     isolated_count,
     join,
+    json_text,
     pair_count,
+    set_bits,
     star,
     vertex_mask,
 )
@@ -107,6 +110,19 @@ def test_edges_match_bits(g):
     for u, v in g.edges():
         assert g.has_edge(u, v)
         assert v in g.neighbors(u) and u in g.neighbors(v)
+
+
+@given(random_graph_strategy())
+def test_neighbors_are_the_set_bits_of_the_adjacency(g):
+    for v in range(g.n):
+        expected = tuple(u for u in range(g.n) if g.adjacency[v] >> u & 1)
+        assert g.neighbors(v) == expected == set_bits(g.adjacency[v])
+
+
+def test_set_bits():
+    assert set_bits(0) == ()
+    assert set_bits(0b101001) == (0, 3, 5)
+    assert set_bits(1 << 63) == (63,)
 
 
 def adjacency_by_pairs(g):
@@ -319,6 +335,37 @@ def test_json_parse_errors():
         graph_from_json(json.dumps({"n": 3, "bits": "0000"}))
 
 
+JSON_VALUES = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[]], "d": [{}]},
+    {"z": 1, "a": [1, 2.5, "x"], "m": {"y": None, "b": True, "a": False}},
+    [0.1, 1e-05, 1e300, -0.0, float("inf"), -float("inf"), float("nan")],
+    ["caf\u00e9", "tab\tquote\"back\\slash", "\u2603", ""],
+    (1, (2, 3), [4, {"k": (5,)}]),
+    {"10": 1, "3": {"2": [True, [False, None]], "1": []}, "": 0},
+    {"deep": [[[[[[1]]]]]], "n": -7, "big": 1 << 70},
+]
+
+
+@pytest.mark.parametrize("value", JSON_VALUES)
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_json_text_matches_json_dumps(value, sort_keys):
+    expected = json.dumps(value, indent=2, sort_keys=sort_keys) + "\n"
+    assert json_text(value, sort_keys=sort_keys) == expected
+
+
+def test_json_text_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        json_text({"a": {1, 2}})
+
+
+@given(random_graph_strategy())
+def test_graph_json_text_matches_json_dumps(g):
+    data = graph_to_json(g, i_prime="3/2")
+    assert graph_to_json_text(g, "3/2") == json.dumps(data, indent=2) + "\n"
+
+
 def test_dot_output():
     text = graph_to_dot(from_edges(4, [(0, 1)]))
     assert text.splitlines() == ["graph G {", "  0 -- 1;", "  2;", "  3;",
@@ -332,6 +379,17 @@ def test_format_ratio_always_shows_denominator():
     assert format_ratio(parse_ratio("7/2")) == "7/2"
     assert format_ratio(INFINITY) == "inf"
     assert format_ratio(parse_ratio("0/1")) == "0/1"
+    assert format_ratio(Fraction(-6, 4)) == "-3/2"
+    assert format_ratio(0.5) == "1/2"
+    assert format_ratio(3) == "3/1"
+    assert format_ratio(float("inf")) == "inf"
+
+
+def test_format_ratio_rejects_what_fraction_rejects():
+    with pytest.raises(OverflowError):
+        format_ratio(-INFINITY)
+    with pytest.raises(ValueError):
+        format_ratio(math.nan)
 
 
 def test_parse_ratio_accepts_inf_and_rejects_junk():
