@@ -11,7 +11,7 @@ representatives.
 from .canonical import CanonicalForm, are_isomorphic, canonical_code, \
     canonical_form, canonical_graph, deduplicate
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
-    GraphParseError, ScopeError
+    GraphParseError, InputError, ScopeError
 from .evolve import CandidateRecord, DiversitySelection, RunResult, \
     SolverConfig, SolverReport, binary_mutation, diversity_enhancement, \
     initial_population, report, run_solver, single_point_crossover
@@ -36,9 +36,10 @@ __all__ = [
     "BenchmarkReport", "CandidateRecord", "CanonicalForm", "CapacityError",
     "ConsistencyError", "DiversitySelection", "EmptyArchiveError",
     "EnumerationResult", "FactorCertificate", "FactorSpec", "Graph",
-    "GraphParseError", "INFINITY", "MinimizerSurvey", "PseudoGreedyTrace",
-    "Ratio", "RequirementVerdict", "RunResult", "ScopeError", "SolverConfig",
-    "SolverReport", "ToughnessResult", "are_isomorphic", "benchmark",
+    "GraphParseError", "INFINITY", "InputError", "MinimizerSurvey",
+    "PseudoGreedyTrace", "Ratio", "RequirementVerdict", "RunResult",
+    "ScopeError", "SolverConfig", "SolverReport", "ToughnessResult",
+    "are_isomorphic", "benchmark",
     "binary_mutation", "canonical_code", "canonical_form", "canonical_graph",
     "certify_requirement", "clique_join_blocks", "clique_join_singles",
     "complete", "counterexample_family", "deduplicate", "delta_scope",

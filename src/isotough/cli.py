@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input errors, 2 capacity refusals,
-3 empty result archive, 4 internal consistency failures.
+3 empty result archive, 4 internal failures: a tripped consistency check,
+or a ValueError that is not an InputError.
 
 All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
@@ -23,7 +24,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
-    GraphParseError, ScopeError
+    GraphParseError, InputError
 from .evolve import DEFAULT_SEED, CandidateRecord, RunResult, SolverConfig, \
     SolverReport, report, run_solver
 from .factors import FactorSpec, certify_requirement, delta_scope, \
@@ -58,10 +59,14 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         if getattr(args, "sites", None) is None:
             raise GraphParseError("--bits needs --n for the order")
         return from_bits(args.sites, args.bits)
-    if args.json is not None and args.json != "-":
-        text = Path(args.json).read_text()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.json is not None and args.json != "-":
+            text = Path(args.json).read_text()
+        else:
+            text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"graph JSON is not text: {exc.reason}") \
+            from exc
     return graph_from_json(text)
 
 
@@ -211,7 +216,7 @@ def _require(args: argparse.Namespace, pairs: list[tuple[str, str]],
     for attribute, flag in pairs:
         value = getattr(args, attribute)
         if value is None:
-            raise ValueError(f"family kind {kind!r} needs --{flag}")
+            raise InputError(f"family kind {kind!r} needs --{flag}")
         values.append(value)
     return values
 
@@ -251,9 +256,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     window = (args.lower, args.upper)
     if args.capacity is None and None in window:
-        raise ValueError("certify needs --k, or both --a and --b")
+        raise InputError("certify needs --k, or both --a and --b")
     if args.capacity is not None and window != (None, None):
-        raise ValueError("give either --k or the --a/--b window, not both")
+        raise InputError("give either --k or the --a/--b window, not both")
 
     if args.capacity is None:
         spec = FactorSpec(args.lower, args.upper)
@@ -466,9 +471,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return 4
-    except (GraphParseError, ScopeError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a library fault, not the caller's input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

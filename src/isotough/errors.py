@@ -5,7 +5,12 @@ class CapacityError(Exception):
     """An input exceeds a configured size or enumeration limit."""
 
 
-class ScopeError(ValueError):
+class InputError(ValueError):
+    """Input the caller can correct: a flag, a graph or a parameter value
+    that a check rejects before any work is done."""
+
+
+class ScopeError(InputError):
     """A requested minimum-degree interval is empty or out of range."""
 
 
@@ -17,7 +22,7 @@ class ConsistencyError(Exception):
     """Two routes that must agree produced contradictory results."""
 
 
-class GraphParseError(ValueError):
+class GraphParseError(InputError):
     """Malformed graph input; carries a best-effort position."""
 
     def __init__(self, message, position=None):

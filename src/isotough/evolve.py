@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .canonical import canonical_form, deduplicate
-from .errors import EmptyArchiveError
+from .errors import EmptyArchiveError, InputError
 from .factors import check_scope, delta_scope, require_factor, \
     requirement_check
 from .graphs import Graph, complete, counterexample_family, hamming_distance, \
@@ -63,19 +63,19 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.n < 4:
-            raise ValueError("solver needs order n >= 4")
+            raise InputError("solver needs order n >= 4")
         if self.k < 2:
-            raise ValueError("capacity k must be at least 2")
+            raise InputError("capacity k must be at least 2")
         if self.population_size < 2:
-            raise ValueError("population size must be at least 2")
+            raise InputError("population size must be at least 2")
         if self.generations < 1:
-            raise ValueError("need at least one generation")
+            raise InputError("need at least one generation")
         if not 0.0 < self.mutation_rate < 1.0:
-            raise ValueError("mutation rate must lie in (0, 1)")
+            raise InputError("mutation rate must lie in (0, 1)")
         if not 0.0 < self.counterexample_fraction < 1.0:
-            raise ValueError("counterexample fraction must lie in (0, 1)")
+            raise InputError("counterexample fraction must lie in (0, 1)")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.scope is not None:
             check_scope(self.n, self.k, self.scope)
 

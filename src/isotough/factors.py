@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConsistencyError, ScopeError
+from .errors import ConsistencyError, InputError, ScopeError
 from .graphs import Graph
 from .rational import Ratio
 from .toughness import exact_isolated_toughness_variant, exact_variant_above
@@ -48,9 +48,9 @@ class FactorSpec:
 
     def __post_init__(self):
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("factor bounds must be integers")
+            raise InputError("factor bounds must be integers")
         if not 1 <= self.a <= self.b:
-            raise ValueError(f"need 1 <= a <= b, got [{self.a}, {self.b}]")
+            raise InputError(f"need 1 <= a <= b, got [{self.a}, {self.b}]")
 
     @classmethod
     def k_factor(cls, k: int) -> "FactorSpec":
@@ -169,7 +169,7 @@ def delta_scope(n: int, k: int) -> tuple[int, int]:
     k-factor is guaranteed outright, so the search tops out just below.
     """
     if k < 1 or n < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+        raise InputError("need n >= 1 and k >= 1")
     lo = k
     hi = (n + 1) // 2 - 1 if n >= 4 * k - 5 else n - 1
     if lo > hi:
@@ -233,7 +233,7 @@ def requirement_check(g: Graph, k: int, scope: tuple[int, int],
     share one verdict per reason, k and delta.
     """
     if k < 2:
-        raise ValueError("capacity k must be at least 2")
+        raise InputError("capacity k must be at least 2")
     delta = g.min_degree
     lo, hi = scope
     if delta < k or not lo <= delta <= hi:

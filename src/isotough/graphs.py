@@ -29,7 +29,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import CapacityError, GraphParseError
+from .errors import CapacityError, GraphParseError, InputError
 
 # Encoded graphs above this order are refused (quadratic bit strings grow
 # fast and every exact routine downstream is exponential in n anyway).
@@ -140,7 +140,7 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"order must be non-negative, got {self.n}")
+            raise InputError(f"order must be non-negative, got {self.n}")
         if self.n > MAX_ORDER:
             raise CapacityError(
                 f"order {self.n} exceeds the supported maximum {MAX_ORDER}")
@@ -283,14 +283,14 @@ def empty_graph(n: int) -> Graph:
 def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
     if n < 1:
-        raise ValueError("star needs at least one vertex")
+        raise InputError("star needs at least one vertex")
     return from_edges(n, [(0, v) for v in range(1, n)])
 
 
 def disjoint_cliques(m: int, k: int) -> Graph:
     """m disjoint copies of K_k."""
     if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
+        raise InputError("need m >= 1 and k >= 1")
     edges = []
     for block in range(m):
         base = block * k
@@ -307,7 +307,7 @@ def clique_join_blocks(c: int, m: int, k: int) -> Graph:
 def clique_join_singles(c: int, d: int) -> Graph:
     """K_c joined with d isolated vertices."""
     if d < 1:
-        raise ValueError("need d >= 1")
+        raise InputError("need d >= 1")
     return join(complete(c), empty_graph(d))
 
 
@@ -318,14 +318,14 @@ def counterexample_family(k: int, t: int) -> Graph:
     acceptance bound, and no fractional k-factor exists.
     """
     if k < 1 or t < 0:
-        raise ValueError("need k >= 1 and t >= 0")
+        raise InputError("need k >= 1 and t >= 0")
     return clique_join_blocks(t + 1, t + 2, k)
 
 
 def extremal_family(k: int, l: int) -> Graph:
     """K_{l-1} joined with l copies of K_k (the tight family G_l)."""
     if k < 1 or l < 2:
-        raise ValueError("need k >= 1 and l >= 2")
+        raise InputError("need k >= 1 and l >= 2")
     return clique_join_blocks(l - 1, l, k)
 
 
@@ -421,6 +421,9 @@ def graph_from_json(source: Union[str, dict]) -> Graph:
         except json.JSONDecodeError as exc:
             raise GraphParseError(f"invalid JSON: {exc.msg}",
                                   position=exc.pos) from exc
+        except (ValueError, RecursionError) as exc:
+            # an integer too long to convert, or arrays nested too deeply
+            raise GraphParseError(f"invalid JSON: {exc}") from exc
     else:
         data = source
     if not isinstance(data, dict):

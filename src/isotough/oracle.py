@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .canonical import canonical_code
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 from .evolve import DEFAULT_SEED, SolverConfig, _bernoulli_mask, report, \
     run_solver
 from .factors import check_scope, delta_scope, requirement_check
@@ -114,9 +114,9 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
     attains it; `total_scanned` counts the labelled encodings covered.
     """
     if n < 2:
-        raise ValueError("enumeration needs order n >= 2")
+        raise InputError("enumeration needs order n >= 2")
     if k < 2:
-        raise ValueError("capacity k must be at least 2")
+        raise InputError("capacity k must be at least 2")
     if n > DEFAULT_ENUMERATION_LIMIT and not force:
         raise CapacityError(
             f"enumeration stops at order {DEFAULT_ENUMERATION_LIMIT}: the "
@@ -241,11 +241,11 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
     `samples` must be at least 1.
     """
     if n_max < 1:
-        raise ValueError("need n_max >= 1")
+        raise InputError("need n_max >= 1")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise InputError(f"seed must be non-negative, got {seed}")
     if n_max > DEFAULT_ENUMERATION_LIMIT and samples < 1:
-        raise ValueError(
+        raise InputError(
             f"orders above {DEFAULT_ENUMERATION_LIMIT} are sampled: "
             "need samples >= 1")
     survey = MinimizerSurvey(n_max=n_max, graphs_checked=0, pairs_checked=0,
@@ -284,7 +284,7 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = DEFAULT_SEED,
               force: bool = False) -> BenchmarkReport:
     """Solver quality and runtime against the exhaustive enumeration."""
     if runs < 1:
-        raise ValueError("need at least one run")
+        raise InputError("need at least one run")
     enumeration = enumerate_exact(n, k, force=force)
     scope = enumeration.scope
 

@@ -52,7 +52,7 @@ from itertools import accumulate
 from math import gcd
 from typing import Optional, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 from .graphs import Graph, set_bits
 from .rational import INFINITY, Ratio
 
@@ -98,7 +98,7 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     """
     n = g.n
     if n < 1:
-        raise ValueError("toughness needs at least one vertex")
+        raise InputError("toughness needs at least one vertex")
     if g.is_complete():  # no qualifying S at any order
         return INFINITY, {}
     if n > limit:

@@ -69,6 +69,13 @@ def test_bits_without_order_is_input_error(capsys):
     assert main(["exact", "--bits", "111"]) == 1
 
 
+def test_graph_file_that_is_not_text_is_input_error(capsys, tmp_path):
+    source = tmp_path / "graph.json"
+    source.write_bytes(b"\xff\xfe{")
+    assert main(["exact", "--json", str(source)]) == 1
+    assert "graph JSON is not text" in capsys.readouterr().err
+
+
 def test_empty_scope_is_input_error(capsys):
     assert main(["scope", "--n", "4", "--k", "2"]) == 1
     assert "error" in capsys.readouterr().err
@@ -500,6 +507,39 @@ def test_solve_factor_disagreement_exits_four(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert "consistency error" in captured.err
     assert "lacks a fractional factor" in captured.err
+
+
+def test_library_value_error_mid_solve_exits_four(capsys, tmp_path,
+                                                 monkeypatch):
+    # a ValueError that is not an InputError is a fault of the library,
+    # not bad input: it must not exit 1
+    def broken(g, k, scope, value=None):
+        raise ValueError("decision broke")
+
+    monkeypatch.setattr("isotough.evolve.requirement_check", broken)
+    assert main(SOLVE_FAST + ["--out", str(tmp_path / "run")]) == 4
+    assert "internal error: decision broke" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SolverConfig(n=3, k=2),
+    lambda: SolverConfig(n=7, k=2, seed=-1),
+    lambda: isotough.FactorSpec(0, 1),
+    lambda: delta_scope(0, 2),
+    lambda: delta_scope(4, 2),
+    lambda: isotough.requirement_check(complete(4), 1, (1, 3)),
+    lambda: isotough.enumerate_exact(1, 2),
+    lambda: isotough.explore_minimizers(0),
+    lambda: benchmark(6, 2, runs=0),
+    lambda: star(0),
+    lambda: empty_graph(-1),
+    lambda: extremal_family(0, 2),
+    lambda: isotough.exact_isolated_toughness(empty_graph(0)),
+    lambda: isotough.from_bits(3, "12"),
+], ids=range(14))
+def test_checks_reachable_from_the_command_line_raise_input_error(call):
+    with pytest.raises(isotough.InputError):
+        call()
 
 
 def test_solve_empty_archive_still_writes_manifest(capsys, tmp_path):

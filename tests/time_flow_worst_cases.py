@@ -7,20 +7,10 @@ row per case: the feasibility answer, both times and their ratio.  Needs
 the test extra (scipy).
 """
 
-import time
-
 from _feasibility_oracles import scipy_flow_feasible
 from isotough.factors import FactorSpec, has_fractional_factor
 from test_factors import order_64_grid
-
-
-def fastest(call, repeats=5):
-    best, answer = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        answer = call()
-        best = min(best, time.perf_counter() - started)
-    return best, answer
+from time_layers import fastest
 
 
 def main():
@@ -28,8 +18,10 @@ def main():
           f" {'ratio':>6}")
     for label, g, a, b in order_64_grid():
         spec = FactorSpec(a, b)
-        ours, answer = fastest(lambda: has_fractional_factor(g, spec))
-        theirs, reference = fastest(lambda: scipy_flow_feasible(g, a, b))
+        answer = has_fractional_factor(g, spec)
+        reference = scipy_flow_feasible(g, a, b)
+        ours = fastest(lambda: has_fractional_factor(g, spec))
+        theirs = fastest(lambda: scipy_flow_feasible(g, a, b))
         if answer != reference:
             raise SystemExit(f"{label}: search {answer}, scipy {reference}")
         print(f"{label:<26} {str(answer):<6} {ours * 1e3:9.2f}"

@@ -1,0 +1,238 @@
+"""Time isotough layer by layer: the parts of a solve, a census pass, and
+one table of per-graph routes.  Standard library only.
+
+    PYTHONPATH=src python tests/time_layers.py [SEEDS [ORDER]]
+
+Solves.  Each of the benchmark's six solve inputs (INPUTS) runs through
+`cli.main` at seed 0 untimed, then at seeds 1..SEEDS (default 5).  A probe
+over `cli.run_solver`, `evolve.canonical_form` and `evolve._next_population`
+prints the median ms per solve of each part: main (the whole call), solver
+(`run_solver`), canonical (the keys the search takes, inside the solver),
+write (solver return to main return: the result files and the summary) and
+parser (main start to solver start).  At seeds 0..SEEDS it also records
+each distinct encoding a generation decides and each one the search keys.
+
+Census.  The benchmark's census pass at ORDER (default 7):
+enumerate_exact(ORDER, 2) and (ORDER, 3), forced past the gate, and
+explore_minimizers(ORDER), which samples above order 7.  One first class
+build from an empty cache is timed, then after one warm pass the median
+of ten passes is printed per step and per pass, in seconds.
+
+Routes.  Each row of ROUTES is timed as the fastest of five runs over a
+group of graphs already decoded, in us per graph, on each solve input's
+decided graphs and on the classes of order ORDER at k = 2:
+
+- decode: `Graph(n, code)` with adjacency and degrees, paid once per new
+  candidate (so no other route includes it);
+- decide: `requirement_check`, over all graphs, then over those it rejects
+  by degree (no search), rejects by value and accepts;
+- full: `exact_isolated_toughness_variant`: value, minimizers, witnesses;
+- screen: one pseudo-greedy screen, drawing from `random.Random(0)`;
+- canonical: `canonical_form`, over the graphs keyed (for the classes, all);
+- flow: `has_fractional_factor(g, FactorSpec.k_factor(k))`.
+
+Each column also gives its counts, its share of each decision and the
+full/decide ratio.  A new layer is one more row of ROUTES.
+"""
+
+import contextlib
+import io
+import random
+import statistics
+import sys
+import tempfile
+import time
+from functools import partial
+from pathlib import Path
+
+from isotough import cli, evolve, oracle
+from isotough.canonical import canonical_form
+from isotough.factors import FactorSpec, delta_scope, \
+    has_fractional_factor, requirement_check
+from isotough.graphs import Graph
+from isotough.oracle import enumerate_exact, explore_minimizers, \
+    nonisomorphic_graphs
+from isotough.toughness import exact_isolated_toughness_variant, \
+    pseudo_greedy_estimate
+
+# (n, k, flags) of the benchmark's SCREEN_CASES + VERIFY_CASES, copied so
+# that the script needs only the standard library; test_time_layers.py
+# keeps the copy in step.
+INPUTS = (
+    (7, 2, ()), (9, 2, ()), (12, 3, ()), (13, 3, ()), (16, 3, ()),
+    (18, 3, ("--exact-verify-limit", "18", "--generations", "25")),
+)
+PARTS = ("main", "solver", "canonical", "write", "parser")
+PASSES = 10
+# requirement_check's outcomes: group and row label
+OUTCOMES = (("degree", "rejected by degree"), ("value", "rejected by value"),
+            ("accepted", "accepted"))
+
+
+def _decide(k, scope):
+    return partial(requirement_check, k=k, scope=scope)
+
+
+# label, group of graphs timed, and a factory (k, scope) -> route on one
+# graph, called once per timed run so that the screen draws afresh
+ROUTES = (
+    ("decode", "decided", lambda k, _: lambda g: Graph(g.n, g.code).degrees),
+    ("decide", "decided", _decide),
+    *((f"  {label}", group, _decide) for group, label in OUTCOMES),
+    ("full", "decided", lambda k, _: exact_isolated_toughness_variant),
+    ("screen", "decided",
+     lambda k, _: partial(pseudo_greedy_estimate, rng=random.Random(0))),
+    ("canonical", "keyed", lambda k, _: canonical_form),
+    ("flow", "decided",
+     lambda k, _: partial(has_fractional_factor, spec=FactorSpec.k_factor(k))),
+)
+
+
+def fastest(call, repeats=5):
+    """Seconds taken by the fastest of `repeats` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+class Probe:
+    """Timestamps around run_solver, a running total of canonical_form and
+    the encodings decided (each generation reaches _next_population) and
+    keyed, installed over the names that cli and evolve look up."""
+
+    def __init__(self):
+        self.solver, self.canonical = (0.0, 0.0), 0.0
+        self.decided, self.keyed = set(), set()
+        run_solver, form = cli.run_solver, evolve.canonical_form
+        breed = evolve._next_population
+
+        def timed_solver(*args, **kwargs):
+            started = time.perf_counter()
+            result = run_solver(*args, **kwargs)
+            self.solver = (started, time.perf_counter())
+            return result
+
+        def timed_form(g):
+            started = time.perf_counter()
+            key = form(g)
+            self.canonical += time.perf_counter() - started
+            self.keyed.add(g.code)
+            return key
+
+        def recording(population, *args):
+            self.decided.update(g.code for g in population)
+            return breed(population, *args)
+
+        cli.run_solver, evolve.canonical_form = timed_solver, timed_form
+        evolve._next_population = recording
+
+    def solve(self, n, k, flags, seed, out):
+        """Seconds per part of one `isotough solve`, by part."""
+        self.canonical = 0.0
+        argv = ["solve", "--n", str(n), "--k", str(k), "--seed", str(seed),
+                "--out", str(out), *flags]
+        with contextlib.redirect_stdout(io.StringIO()):
+            started = time.perf_counter()
+            code = cli.main(argv)
+            ended = time.perf_counter()
+        if code != 0:
+            raise SystemExit(f"solve {' '.join(argv)} exited {code}")
+        begin, end = self.solver
+        return {"main": ended - started, "solver": end - begin,
+                "canonical": self.canonical, "write": ended - end,
+                "parser": begin - started}
+
+
+def route_column(n, k, decided, keyed):
+    """One corpus's column of the route table, row label to text."""
+    scope = delta_scope(n, k)
+    groups = {"decided": [Graph(n, code) for code in sorted(decided)],
+              "keyed": [Graph(n, code) for code in sorted(keyed)]}
+    groups.update((group, []) for group, _ in OUTCOMES)
+    for g in groups["keyed"]:
+        g.degrees  # decoded beforehand, as in the solver
+    for g in groups["decided"]:
+        reason = requirement_check(g, k, scope).reason
+        groups["accepted" if reason == "accepted" else "value"
+               if reason == "value-not-above-bound" else "degree"].append(g)
+    count = len(groups["decided"])
+    column = {"graphs": f"{count}", "keyed": f"{len(groups['keyed'])}"}
+    column.update((f"% {label}", f"{len(groups[group]) / count:.0%}")
+                  for group, label in OUTCOMES)
+    micros = {}
+    for label, group, make in ROUTES:
+        graphs = groups[group]
+
+        def run():
+            route = make(k, scope)
+            for g in graphs:
+                route(g)
+
+        micros[label] = fastest(run) / len(graphs) * 1e6 if graphs else None
+        column[label] = "-" if not graphs else f"{micros[label]:.1f}"
+    column["full/decide"] = f"{micros['full'] / micros['decide']:.2f}"
+    return column
+
+
+def census(order):
+    """Print the first class build and the census pass's step medians."""
+    steps = ((f"enumerate_exact({order}, 2)",
+              lambda: enumerate_exact(order, 2, force=True)),
+             (f"enumerate_exact({order}, 3)",
+              lambda: enumerate_exact(order, 3, force=True)),
+             (f"explore_minimizers({order})",
+              lambda: explore_minimizers(order)))
+    oracle._level.cache_clear()
+    first = fastest(lambda: nonisomorphic_graphs(order), repeats=1)
+    print(f"first class build at order {order}: {first:.3f} s")
+    for _, call in steps:  # warm pass
+        call()
+    times = [[fastest(call, repeats=1) for _ in range(PASSES)]
+             for _, call in steps]
+    print(f"census pass at order {order}, median of {PASSES} passes after"
+          " one warm pass")
+    for (label, _), column in zip(steps, times):
+        print(f"  {label:<24} {statistics.median(column):.4f} s")
+    print(f"  {'pass':<24} {statistics.median(map(sum, zip(*times))):.4f} s")
+
+
+def main(argv):
+    numbers = [*map(int, argv), *(5, 7)[len(argv):]]
+    if len(numbers) != 2 or numbers[0] < 1:
+        raise SystemExit("usage: time_layers.py [SEEDS [ORDER]], SEEDS >= 1")
+    seeds, order = numbers
+    probe, rows, columns = Probe(), [], []
+    with tempfile.TemporaryDirectory() as scratch:
+        for n, k, flags in INPUTS:
+            probe.decided, probe.keyed = set(), set()
+            runs = [probe.solve(n, k, flags, seed, Path(scratch) /
+                                f"{n}-{k}-{seed}")
+                    for seed in range(seeds + 1)][1:]
+            rows.append((f"{n} {k}", flags, {
+                part: statistics.median(run[part] for run in runs)
+                for part in PARTS}))
+            columns.append((f"{n} {k}", route_column(n, k, probe.decided,
+                                                     probe.keyed)))
+    print(f"solve parts, median ms per solve over seeds 1..{seeds}")
+    print(f"  {'n k':<6}" + "".join(f"{part:>10}" for part in PARTS))
+    for label, flags, medians in rows:
+        print(f"  {label:<6}"
+              + "".join(f"{medians[part] * 1e3:>10.2f}" for part in PARTS)
+              + ("  " + " ".join(flags) if flags else ""))
+    census(order)
+    classes = {g.code for g in nonisomorphic_graphs(order)}
+    columns.append((f"order {order}",
+                    route_column(order, 2, classes, classes)))
+    print(f"per graph, us, fastest of five runs: graphs decided at seeds"
+          f" 0..{seeds}, and the classes of order {order} at k = 2")
+    print(f"  {'':<22}" + "".join(f"{label:>9}" for label, _ in columns))
+    for row in columns[0][1]:
+        print(f"  {row:<22}"
+              + "".join(f"{column[row]:>9}" for _, column in columns))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
