@@ -5,10 +5,11 @@ How tight is the pseudo-greedy screening estimate?
 The paper's evolutionary loop screens every candidate with a pseudo-greedy
 deletion heuristic that only ever errs upward, and verifies the passers
 exactly.  The solver here scores candidates with the exact engine up to
-`--exact-verify-limit`, which defaults to the engine's own order cap
-(24), and uses the estimate only above it.  This script samples random
-graphs, compares the estimate with the exact value, and tallies how often
-and by how much the estimate overshoots.
+`--exact-verify-limit`, which defaults to 24, the order through which
+every graph fits the engine's node budget, and uses the estimate only
+above it.  This script samples random graphs, compares the estimate with
+the exact value, and tallies how often and by how much the estimate
+overshoots.
 """
 
 import random
@@ -49,4 +50,4 @@ if overshoots:
 # The moral: the estimate is optimistic about toughness, never pessimistic,
 # so a graph it accepts may still fail the exact bound.  That is why the
 # solver files what it accepts above the verify limit, by default the
-# orders the exact engine refuses, as unverified.
+# orders above 24, as unverified.

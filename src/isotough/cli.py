@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or input errors, 2 capacity refusals,
-3 empty result archive, 4 internal failures: a tripped consistency check,
-or a ValueError that is not an InputError.
+Exit codes: 0 success, 1 usage or input errors, 2 capacity refusals (a
+work budget or order limit), 3 empty result archive, 4 internal
+failures: a tripped consistency check, or a ValueError that is not an
+InputError.
 
 All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
@@ -35,7 +36,7 @@ from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     graph_to_json_text, json_array, json_object, json_text, json_value, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
-from .toughness import DEFAULT_EXACT_LIMIT, exact_isolated_toughness, \
+from .toughness import exact_isolated_toughness, \
     exact_isolated_toughness_variant
 
 _VERSION = "0.1.0"
@@ -181,8 +182,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    plain = exact_isolated_toughness(g, limit=args.limit)
-    variant = exact_isolated_toughness_variant(g, limit=args.limit)
+    plain = exact_isolated_toughness(g)
+    variant = exact_isolated_toughness_variant(g)
     print(f"delta = {g.min_degree if g.n else 0}")
     print(f"I = {format_ratio(plain.value)}")
     print(f"I' = {format_ratio(variant.value)}")
@@ -373,7 +374,6 @@ def build_parser() -> _Parser:
     _add_graph_source(exact)
     exact.add_argument("--n", "--sites", dest="sites", type=int,
                        help="order, required with --bits")
-    exact.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT)
     exact.set_defaults(handler=_cmd_exact)
 
     enum = commands.add_parser("enumerate",

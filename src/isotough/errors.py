@@ -2,7 +2,8 @@
 
 
 class CapacityError(Exception):
-    """An input exceeds a configured size or enumeration limit."""
+    """An input past a work limit: the exact engine's node budget,
+    enumeration's order limit or Graph's maximum order."""
 
 
 class InputError(ValueError):

@@ -7,12 +7,13 @@ early-exit exact search either rejects it at the first ratio at or below
 the bound or returns its exact I'.  Passers keep that value for the
 harvest and the elite.  Only in a generation with no passer does the
 elite need every member's value; then the full exact I' is taken, again
-once per encoding per run.  Above the limit, by default the exact
-engine's own order gate toughness.DEFAULT_EXACT_LIMIT, every individual
-is scored by the pseudo-greedy estimate, which requirement_check and the
-elite both read.  Up to the limit, accepted records are bucketed by minimum
-degree and each bucket's best moves into the archive, where the flow
-search certifies its fractional k-factor once more (a mismatch is a
+once per encoding per run.  Above the limit, by default
+toughness.DEFAULT_EXACT_LIMIT, the order through which every graph fits
+the exact engine's node budget, every individual is scored by the
+pseudo-greedy estimate, which requirement_check and the elite both read.
+Up to the limit, accepted records are bucketed by minimum degree and
+each bucket's best moves into the archive, where the flow search
+certifies its fractional k-factor once more (a mismatch is a
 ConsistencyError); above the limit they go to the unverified list.  The
 next population comes from random non-self pairing, single-point
 crossover and per-bit mutation, with the elite surviving unchanged.
@@ -76,6 +77,8 @@ class SolverConfig:
             raise InputError("counterexample fraction must lie in (0, 1)")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
+        if self.exact_verify_limit < 0:
+            raise InputError("the exact verify limit must be non-negative")
         if self.scope is not None:
             check_scope(self.n, self.k, self.scope)
 

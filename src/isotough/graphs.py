@@ -333,8 +333,8 @@ def extremal_family(k: int, l: int) -> Graph:
 
 def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
     """JSON-ready dict; computes the variant toughness unless supplied,
-    and writes null for it at order 0 or when the exact engine refuses
-    the order."""
+    and writes null for it at order 0 or when the exact engine's node
+    budget trips."""
     from .rational import format_ratio
     if i_prime is None and g.n:
         from .toughness import exact_isolated_toughness_variant

@@ -19,10 +19,6 @@ INFINITY = math.inf
 Ratio = Union[Fraction, float]
 
 
-def is_infinite(value: Ratio) -> bool:
-    return value == INFINITY
-
-
 def format_ratio(value: Ratio) -> str:
     """Render as "p/q" (always with an explicit denominator) or "inf".
 

@@ -56,6 +56,9 @@ from .errors import CapacityError, InputError
 from .graphs import Graph, set_bits
 from .rational import INFINITY, Ratio
 
+# Search nodes before a CapacityError: twice the worst case seen through
+# order DEFAULT_EXACT_LIMIT, the perfect matching's 3**12 - 1, so all fit.
+NODE_BUDGET = 2 * 3**12
 DEFAULT_EXACT_LIMIT = 24
 
 
@@ -86,7 +89,7 @@ class _AtOrBelowFloor(Exception):
     up."""
 
 
-def _independent_set_search(g: Graph, variant: bool, limit: int,
+def _independent_set_search(g: Graph, variant: bool,
                             floor: Optional[tuple[int, int]] = None
                             ) -> tuple[Ratio, dict[int, int]]:
     """The minimum ratio and, for each neighbourhood mask N(J) attaining
@@ -94,19 +97,16 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
 
     With a floor, given as (numerator, denominator), no masks are kept,
     ties are cut, and _AtOrBelowFloor ends the search at the first ratio
-    at or below the floor.
+    at or below the floor.  Past NODE_BUDGET nodes it raises CapacityError.
     """
     n = g.n
     if n < 1:
         raise InputError("toughness needs at least one vertex")
     if g.is_complete():  # no qualifying S at any order
         return INFINITY, {}
-    if n > limit:
-        raise CapacityError(
-            f"exact toughness is gated to order <= {limit}; "
-            "use the pseudo-greedy estimator for larger graphs")
 
     adj = g.adjacency
+    budget = NODE_BUDGET
     shift = 1 if variant else 0
     keep = floor is None
     tie = 0 if keep else 1  # a bound equal to the best is cut iff tie
@@ -118,7 +118,11 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     def visit(size: int, nbrs: int, cand: int, skipped: int) -> None:
         # J has `size` vertices and neighbourhood `nbrs`; `cand` holds the
         # later vertices J may still take, `skipped` the passed-over ones
-        nonlocal best_num, best_den
+        nonlocal best_num, best_den, budget
+        budget -= 1
+        if budget < 0:
+            raise CapacityError(f"the exact search at order {n} passed its"
+                                f" budget of {NODE_BUDGET} nodes")
         covered = nbrs.bit_count()
         if size >= 2:
             den = size - shift
@@ -162,29 +166,24 @@ def _independent_set_search(g: Graph, variant: bool, limit: int,
     return _ratio(best_num, best_den), best_masks
 
 
-def _full_result(g: Graph, variant: bool, limit: int) -> ToughnessResult:
-    value, sizes = _independent_set_search(g, variant, limit)
+def _full_result(g: Graph, variant: bool) -> ToughnessResult:
+    value, sizes = _independent_set_search(g, variant)
     masks = sorted(sizes)
     return ToughnessResult(value, tuple(map(set_bits, masks)),
                            tuple(map(sizes.__getitem__, masks)))
 
 
-def exact_isolated_toughness(g: Graph, *,
-                             limit: int = DEFAULT_EXACT_LIMIT
-                             ) -> ToughnessResult:
+def exact_isolated_toughness(g: Graph) -> ToughnessResult:
     """min |S| / i(G-S) over S with i(G-S) >= 2, with all minimizers."""
-    return _full_result(g, variant=False, limit=limit)
+    return _full_result(g, variant=False)
 
 
-def exact_isolated_toughness_variant(g: Graph, *,
-                                     limit: int = DEFAULT_EXACT_LIMIT
-                                     ) -> ToughnessResult:
+def exact_isolated_toughness_variant(g: Graph) -> ToughnessResult:
     """min |S| / (i(G-S) - 1) over S with i(G-S) >= 2."""
-    return _full_result(g, variant=True, limit=limit)
+    return _full_result(g, variant=True)
 
 
-def exact_variant_above(g: Graph, floor: Ratio, *,
-                        limit: int = DEFAULT_EXACT_LIMIT) -> Optional[Ratio]:
+def exact_variant_above(g: Graph, floor: Ratio) -> Optional[Ratio]:
     """I'(g) when it strictly exceeds the finite floor, else None.
 
     For callers that read the value only when it clears a bound: the
@@ -196,7 +195,7 @@ def exact_variant_above(g: Graph, floor: Ratio, *,
     except OverflowError:  # a float infinity
         raise ValueError("the floor must be finite") from None
     try:
-        value, _ = _independent_set_search(g, True, limit, ratio)
+        value, _ = _independent_set_search(g, True, ratio)
     except _AtOrBelowFloor:
         return None
     return value

@@ -55,10 +55,15 @@ def test_version_flag(capsys):
     assert "isotough 0.1.0" in capsys.readouterr().out
 
 
-def test_capacity_refusal_exits_two(capsys):
-    bits = "0" * (30 * 29 // 2)
-    assert main(["exact", "--bits", bits, "--n", "30"]) == 2
+def test_capacity_refusal_exits_two(capsys, monkeypatch):
+    # C40 passes the real node budget within seconds; the order-30 empty
+    # graph is decided at once
+    feed(monkeypatch, graph_to_json_text(cycle(40), "unused"))
+    assert main(["exact"]) == 2
     assert "capacity error" in capsys.readouterr().err
+    bits = "0" * (30 * 29 // 2)
+    assert main(["exact", "--bits", bits, "--n", "30"]) == 0
+    assert "I' = 0/1" in capsys.readouterr().out
 
 
 def test_enumerate_capacity_refusal(capsys):
@@ -166,13 +171,18 @@ def test_family_writes_file(capsys, tmp_path):
                                   ["empty", "--n", "0"],
                                   ["complete", "--n", "0"]])
 def test_family_above_the_exact_order_gate(argv, capsys):
-    # complete graphs of positive order are infinite at any order; star
-    # and cliques here are beyond the exact engine's order gate and the
-    # order-0 graphs have no I', so theirs is written as null
+    # above order 24 the engine answers unless its node budget trips;
+    # the order-0 graphs have no I', so theirs is written as null
     assert main(["family", *argv]) == 0
     data = json.loads(capsys.readouterr().out)
-    infinite = argv[0] == "complete" and argv[2] != "0"
-    assert data["i_prime"] == ("inf" if infinite else None)
+    expected = {"complete": "inf", "star": "1/38", "cliques": "9/4"}
+    assert data["i_prime"] == (expected[argv[0]] if argv[2] != "0" else None)
+
+
+def test_family_writes_null_when_the_budget_trips(capsys, monkeypatch):
+    monkeypatch.setattr("isotough.toughness.NODE_BUDGET", 100)
+    assert main(["family", "cliques", "--m", "6", "--b", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["i_prime"] is None
 
 
 def test_family_missing_parameter(capsys):
@@ -368,8 +378,9 @@ def test_solve_defaults_are_the_solver_defaults():
 @pytest.mark.parametrize("n, code, verified", [(17, 0, True), (25, 3, False)])
 def test_solve_verifies_up_to_the_exact_engine_gate(n, code, verified, capsys,
                                                     tmp_path):
-    # below the engine's order gate every record is exact; above it the
-    # pseudo-greedy estimate scores candidates and nothing is archived
+    # up to the default verify limit of 24 every record is exact; above
+    # it the pseudo-greedy estimate scores candidates and nothing is
+    # archived
     out = tmp_path / "run"
     assert main(["solve", "--n", str(n), "--k", "3", "--generations", "5",
                  "--seed", "2", "--out", str(out)]) == code
@@ -540,6 +551,19 @@ def test_library_value_error_mid_solve_exits_four(capsys, tmp_path,
 def test_checks_reachable_from_the_command_line_raise_input_error(call):
     with pytest.raises(isotough.InputError):
         call()
+
+
+def test_negative_exact_verify_limit_is_input_error(capsys, tmp_path):
+    # every limit in use passes: the default, perfbench's 18, tests' 6
+    for limit in (DEFAULT_EXACT_LIMIT, 18, 6, 0):
+        SolverConfig(n=7, k=2, exact_verify_limit=limit)
+    with pytest.raises(isotough.InputError):
+        SolverConfig(n=7, k=2, exact_verify_limit=-1)
+    out = tmp_path / "run"
+    assert main(["solve", "--n", "7", "--k", "2", "--exact-verify-limit",
+                 "-1", "--out", str(out)]) == 1
+    assert "verify limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_empty_archive_still_writes_manifest(capsys, tmp_path):

@@ -45,6 +45,10 @@ from _pseudo_greedy_reference import reference_estimate, \
 WORKED_BITS = "1111010010"
 
 
+def cycle(n):
+    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 def brute_force(g, variant):
     """Reference: direct Fraction minimization over all vertex subsets."""
     best = INFINITY
@@ -176,16 +180,40 @@ def test_perfect_matching_on_24_vertices():
 
 def test_complete_bipartite_past_order_32():
     g = join(empty_graph(17), empty_graph(17))
-    outcome = exact_isolated_toughness_variant(g, limit=34)
+    outcome = exact_isolated_toughness_variant(g)
     assert outcome.value == Fraction(17, 16)
     assert outcome.minimizers == (tuple(range(17)), tuple(range(17, 34)))
     assert outcome.witness_i == (17, 17)
 
 
-def test_exact_order_gate():
-    with pytest.raises(CapacityError):
-        exact_isolated_toughness(Graph(25, 0))
-    assert exact_isolated_toughness(Graph(25, 0), limit=25).value == 0
+def test_cycle_on_32_vertices_fits_the_budget():
+    # 243 547 nodes, under a quarter of the budget
+    outcome = exact_isolated_toughness_variant(cycle(32))
+    assert outcome.value == Fraction(16, 15)
+    assert outcome.witness_i == (16, 16)
+
+
+def test_exact_node_budget(monkeypatch):
+    # the budget counts search nodes, not vertices: the order-30 empty
+    # graph takes 31 nodes, the order-12 perfect matching 3**6 - 1
+    assert exact_isolated_toughness(Graph(30, 0)).value == 0
+    monkeypatch.setattr(toughness, "NODE_BUDGET", 100)
+    with pytest.raises(CapacityError, match="budget of 100 nodes"):
+        exact_isolated_toughness(disjoint_cliques(6, 2))
+    assert exact_isolated_toughness(Graph(25, 0)).value == 0
+
+
+def test_every_class_through_order_seven_fits_35_nodes(monkeypatch):
+    # the exhaustive worst cases through order 7 are 11, 26 and 35 nodes
+    # at orders 5-7, far below the real budget; floor decisions visit a
+    # subset of the full search's nodes
+    monkeypatch.setattr(toughness, "NODE_BUDGET", 35)
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            exact_isolated_toughness(g)
+            value = exact_isolated_toughness_variant(g).value
+            for floor in floors_for(g, value):
+                exact_variant_above(g, floor)
 
 
 # ----- minimizer contracts --------------------------------------------------
@@ -326,10 +354,12 @@ def test_floor_mode_on_complete_graphs_is_infinite():
         assert exact_variant_above(complete(n), Fraction(1000)) == INFINITY
 
 
-def test_floor_mode_gates():
+def test_floor_mode_gates(monkeypatch):
+    assert exact_variant_above(Graph(30, 1), Fraction(-1)) == 0
+    monkeypatch.setattr(toughness, "NODE_BUDGET", 100)
     with pytest.raises(CapacityError):
-        exact_variant_above(Graph(25, 0), Fraction(0))
-    assert exact_variant_above(Graph(25, 1), Fraction(-1), limit=25) == 0
+        exact_variant_above(disjoint_cliques(6, 2), Fraction(1))
+    assert exact_variant_above(Graph(25, 1), Fraction(-1)) == 0
     with pytest.raises(ValueError):
         exact_variant_above(Graph(0, 0), Fraction(0))
     for floor in (INFINITY, math.inf, float("inf")):
@@ -408,8 +438,8 @@ def test_ratio_cache_stays_within_its_bound():
     # both terms of an engine ratio are at most n <= 64
     for g in (join(empty_graph(30), empty_graph(34)), Graph(64, 1),
               star(64)):
-        exact_isolated_toughness(g, limit=64)
-        exact_isolated_toughness_variant(g, limit=64)
+        exact_isolated_toughness(g)
+        exact_isolated_toughness_variant(g)
     info = toughness._ratio.cache_info()
     assert info.currsize <= 65 * 65
 
