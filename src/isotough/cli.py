@@ -33,7 +33,7 @@ from .factors import FactorSpec, certify_requirement, delta_scope, \
 from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     counterexample_family, disjoint_cliques, empty_graph, extremal_family, \
     from_bits, graph_from_json, graph_to_dot, graph_to_json, \
-    graph_to_json_text, json_array, json_object, json_text, json_value, star
+    graph_to_json_text, json_array, json_object, json_value, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
 from .toughness import exact_isolated_toughness, \
@@ -85,11 +85,11 @@ def _record_text(record: CandidateRecord) -> str:
 
 
 def _manifest_text(result: RunResult, summary: SolverReport,
-                   graphs: list[dict]) -> str:
+                   graphs: list[list[tuple[str, str]]]) -> str:
     """manifest.json: the run record, with every object's keys sorted.
 
-    Each record is rendered once.  A harvested record is also in the
-    archive, and opens two levels deeper (four spaces).
+    Each record is rendered once.  A harvested record (also in the archive)
+    and each of `graphs` (its own file's fields) open two levels deeper.
     """
     config = result.config
     archive = [_record_text(r) for r in result.archive]
@@ -121,7 +121,9 @@ def _manifest_text(result: RunResult, summary: SolverReport,
         "generations": json_array(generations, 1),
         "archive": json_array(archive, 1),
         "unverified": json_array(map(_record_text, result.unverified), 1),
-        "diversified": json_value(graphs, 1, sort_keys=True),
+        "diversified": json_array([json_object(sorted(
+            (key, text.replace("\n", "\n    ")) for key, text in fields), 2)
+            for fields in graphs], 1),
         "optima": json_value({str(d): None if v is None else format_ratio(v)
                               for d, v in summary.optima.items()},
                              1, sort_keys=True),
@@ -148,7 +150,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     # diversity_enhancement picks only from the archive, so every selected
     # graph has its exact I' here
     values = {r.graph.code: r.value for r in result.archive}
-    graphs = [graph_to_json(g, format_ratio(values[g.code]))
+    graphs = [[(key, json_value(item, 1)) for key, item in
+               graph_to_json(g, format_ratio(values[g.code])).items()]
               for g in result.diversified.selected]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,9 +167,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "Null" if value is None else format_ratio(value),
                              summary.counts[delta]])
 
-    for rank, (g, doc) in enumerate(zip(result.diversified.selected,
-                                        graphs)):
-        (out / f"selected-{rank}.json").write_text(json_text(doc))
+    for rank, (g, fields) in enumerate(zip(result.diversified.selected,
+                                           graphs)):
+        (out / f"selected-{rank}.json").write_text(json_object(fields) + "\n")
         (out / f"selected-{rank}.dot").write_text(graph_to_dot(g))
 
     print(f"scope {result.scope[0]}..{result.scope[1]}")
@@ -196,8 +199,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     scope = tuple(args.scope) if args.scope else None
-    outcome = enumerate_exact(args.sites, args.capacity, scope,
-                              force=args.force)
+    outcome = enumerate_exact(args.sites, args.capacity, scope)
     print(f"scope {outcome.scope[0]}..{outcome.scope[1]}")
     print(f"scanned {outcome.total_scanned} encodings")
     for delta in range(outcome.scope[0], outcome.scope[1] + 1):
@@ -309,7 +311,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     outcome = benchmark(args.sites, args.capacity, runs=args.runs,
-                        seed=args.seed, force=args.force)
+                        seed=args.seed)
     print(f"machine: {outcome.machine}")
     print(f"runs: {outcome.runs}")
     print("delta  solver  enumeration  agree")
@@ -380,8 +382,6 @@ def build_parser() -> _Parser:
                                help="exhaustive per-degree optima")
     _instance_flags(enum)
     enum.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
-    enum.add_argument("--force", action="store_true",
-                      help="enumerate past the default order limit")
     enum.set_defaults(handler=_cmd_enumerate)
 
     family = commands.add_parser("family",
@@ -437,7 +437,6 @@ def build_parser() -> _Parser:
     _instance_flags(bench)
     bench.add_argument("--runs", type=int, default=10)
     bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument("--force", action="store_true")
     bench.set_defaults(handler=_cmd_benchmark)
 
     scope = commands.add_parser(

@@ -18,7 +18,8 @@ with minimum degree, and keeps one canonical code per class.  Deleting a
 minimum-degree vertex of any graph leaves a class of the order below, so
 no class is lost.  Each level's sorted codes are built once per process
 and shared: later calls, from enumerate_exact, explore_minimizers or for
-another k, only wrap them in fresh Graph objects.
+another k, only wrap them in fresh Graph objects.  Order m tries
+|classes(m-1)| * 2^(m-1) masks, hours at m = 10: hence ENUMERATION_LIMIT.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters over all isomorphism classes up to order 7 (random
@@ -35,7 +36,7 @@ import functools
 import platform
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .canonical import canonical_code
@@ -48,7 +49,8 @@ from .rational import Ratio
 from .toughness import exact_isolated_toughness, \
     exact_isolated_toughness_variant
 
-DEFAULT_ENUMERATION_LIMIT = 7
+ENUMERATION_LIMIT = 9
+EXHAUSTIVE_SURVEY_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,23 @@ def _min_code(g: Graph) -> int:
     return best
 
 
-def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None,
-                    *, force: bool = False) -> EnumerationResult:
+def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
+                    ) -> EnumerationResult:
     """Exhaustive per-degree optima over every isomorphism class of order n.
 
     Each optimum is the lowest variant toughness above the bound at that
     minimum degree, witnessed by the smallest encoding of order n that
     attains it; `total_scanned` counts the labelled encodings covered.
+    Orders above ENUMERATION_LIMIT raise CapacityError before any work.
     """
     if n < 2:
         raise InputError("enumeration needs order n >= 2")
     if k < 2:
         raise InputError("capacity k must be at least 2")
-    if n > DEFAULT_ENUMERATION_LIMIT and not force:
+    if n > ENUMERATION_LIMIT:
         raise CapacityError(
-            f"enumeration stops at order {DEFAULT_ENUMERATION_LIMIT}: the "
-            f"isomorphism classes of order {n} take far longer to generate "
-            "and score; pass force to override")
+            f"enumeration stops at order {ENUMERATION_LIMIT}: building the "
+            f"isomorphism classes of order {n} takes hours")
     if scope is None:
         scope = delta_scope(n, k)
     else:
@@ -236,28 +238,28 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
                        seed: int = 0) -> MinimizerSurvey:
     """Cross-compare all minimizers of both parameters.
 
-    Exhaustive over isomorphism classes up to order 7; orders beyond are
-    spot-checked on `samples` seeded random encodings each, so there
-    `samples` must be at least 1.
+    Exhaustive over isomorphism classes up to EXHAUSTIVE_SURVEY_LIMIT;
+    orders beyond are spot-checked on `samples` seeded random encodings
+    each, so there `samples` must be at least 1.
     """
     if n_max < 1:
         raise InputError("need n_max >= 1")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    if n_max > DEFAULT_ENUMERATION_LIMIT and samples < 1:
+    if n_max > EXHAUSTIVE_SURVEY_LIMIT and samples < 1:
         raise InputError(
-            f"orders above {DEFAULT_ENUMERATION_LIMIT} are sampled: "
+            f"orders above {EXHAUSTIVE_SURVEY_LIMIT} are sampled: "
             "need samples >= 1")
     survey = MinimizerSurvey(n_max=n_max, graphs_checked=0, pairs_checked=0,
                              violations=[], differing_examples=[])
-    exhaustive_top = min(n_max, DEFAULT_ENUMERATION_LIMIT)
+    exhaustive_top = min(n_max, EXHAUSTIVE_SURVEY_LIMIT)
     for n in range(1, exhaustive_top + 1):
         for g in nonisomorphic_graphs(n):
             _survey_graph(g, survey)
-    if n_max > DEFAULT_ENUMERATION_LIMIT:
+    if n_max > EXHAUSTIVE_SURVEY_LIMIT:
         survey.sampled = True
         rng = random.Random(seed)
-        for n in range(DEFAULT_ENUMERATION_LIMIT + 1, n_max + 1):
+        for n in range(EXHAUSTIVE_SURVEY_LIMIT + 1, n_max + 1):
             for _ in range(samples):
                 code = _bernoulli_mask(rng, pair_count(n), 0.5)
                 _survey_graph(Graph(n, code), survey)
@@ -280,20 +282,19 @@ class BenchmarkReport:
     machine: str = field(default_factory=lambda: platform.platform())
 
 
-def benchmark(n: int, k: int, *, runs: int = 10, seed: int = DEFAULT_SEED,
-              force: bool = False) -> BenchmarkReport:
-    """Solver quality and runtime against the exhaustive enumeration."""
+def benchmark(n: int, k: int, *, runs: int = 10,
+              seed: int = DEFAULT_SEED) -> BenchmarkReport:
+    """Solver quality and runtime against enumerate_exact, inputs first."""
     if runs < 1:
         raise InputError("need at least one run")
-    enumeration = enumerate_exact(n, k, force=force)
-    scope = enumeration.scope
+    config = SolverConfig(n=n, k=k, seed=seed)
+    enumeration = enumerate_exact(n, k)
+    lo, hi = enumeration.scope
 
-    solver_best: dict[int, Optional[Ratio]] = {d: None
-                                               for d in range(scope[0],
-                                                              scope[1] + 1)}
+    solver_best: dict[int, Optional[Ratio]] = dict.fromkeys(range(lo, hi + 1))
     total_solver = 0.0
     for at in range(runs):
-        result = run_solver(SolverConfig(n=n, k=k, seed=seed + at))
+        result = run_solver(replace(config, seed=seed + at))
         total_solver += result.timings["total_s"]
         for delta, value in report(result).optima.items():
             if value is None:
@@ -304,7 +305,7 @@ def benchmark(n: int, k: int, *, runs: int = 10, seed: int = DEFAULT_SEED,
 
     agreement: dict[int, bool] = {}
     sound = True
-    for d in range(scope[0], scope[1] + 1):
+    for d in range(lo, hi + 1):
         truth = enumeration.optima[d].value
         found = solver_best[d]
         agreement[d] = found == truth

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import isotough
-from isotough import cli
+from isotough import cli, oracle
 from isotough.cli import build_parser, main
 from isotough.evolve import DEFAULT_SEED, SolverConfig
 from isotough.factors import delta_scope
@@ -67,7 +67,25 @@ def test_capacity_refusal_exits_two(capsys, monkeypatch):
 
 
 def test_enumerate_capacity_refusal(capsys):
-    assert main(["enumerate", "--n", "8", "--k", "2"]) == 2
+    assert main(["enumerate", "--n", "10", "--k", "2"]) == 2
+
+
+def test_enumeration_above_the_limit_builds_no_class(capsys):
+    # the refusal comes before class generation, which takes hours at
+    # order 10, and no flag or keyword overrides it
+    oracle._level.cache_clear()
+    for call in (lambda: oracle.enumerate_exact(10, 3),
+                 lambda: benchmark(10, 3)):
+        with pytest.raises(isotough.CapacityError):
+            call()
+    assert oracle._level.cache_info().currsize == 0
+    assert main(["enumerate", "--n", "10", "--k", "3"]) == 2
+    assert "capacity error: enumeration stops at order 9" \
+        in capsys.readouterr().err
+    for argv in (["enumerate", "--n", "8", "--k", "3", "--force"],
+                 ["benchmark", "--n", "6", "--k", "2", "--force"]):
+        assert main(argv) == 1
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_bits_without_order_is_input_error(capsys):
@@ -343,6 +361,19 @@ def test_negative_seed_is_input_error(argv, capsys, tmp_path):
 
 
 # ----- benchmark ------------------------------------------------------------
+
+def test_benchmark_checks_solver_inputs_before_enumerating(capsys,
+                                                          monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("enumerated before checking the seed")
+
+    monkeypatch.setattr(oracle, "enumerate_exact", unreachable)
+    with pytest.raises(isotough.InputError):
+        benchmark(8, 3, seed=-5)
+    assert main(["benchmark", "--n", "8", "--k", "3", "--seed", "-5",
+                 "--runs", "2"]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+
 
 def test_benchmark_small_run_is_sound(capsys):
     assert main(["benchmark", "--n", "6", "--k", "2", "--runs", "2"]) == 0

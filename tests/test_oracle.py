@@ -33,7 +33,7 @@ def test_enumeration_validation():
 
 def test_enumeration_capacity_gate():
     with pytest.raises(CapacityError):
-        enumerate_exact(8, 2)
+        enumerate_exact(10, 2)
 
 
 def test_enumeration_order_six():
@@ -46,7 +46,7 @@ def test_enumeration_order_six():
 
 
 def test_enumeration_order_eight():
-    result = enumerate_exact(8, 2, force=True)
+    result = enumerate_exact(8, 2)
     assert result.scope == (2, 3)
     assert {d: (o.value, o.witness.bits()) for d, o in result.optima.items()} \
         == {2: (Fraction(6), "1000001000001111101110110100"),

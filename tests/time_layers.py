@@ -12,8 +12,8 @@ write (solver return to main return: the result files and the summary) and
 parser (main start to solver start).  At seeds 0..SEEDS it also records
 each distinct encoding a generation decides and each one the search keys.
 
-Census.  The benchmark's census pass at ORDER (default 7):
-enumerate_exact(ORDER, 2) and (ORDER, 3), forced past the gate, and
+Census.  The benchmark's census pass at ORDER (default 7, at most
+oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
 explore_minimizers(ORDER), which samples above order 7.  One first class
 build from an empty cache is timed, then after one warm pass the median
 of ten passes is printed per step and per pass, in seconds.
@@ -180,9 +180,9 @@ def route_column(n, k, decided, keyed):
 def census(order):
     """Print the first class build and the census pass's step medians."""
     steps = ((f"enumerate_exact({order}, 2)",
-              lambda: enumerate_exact(order, 2, force=True)),
+              lambda: enumerate_exact(order, 2)),
              (f"enumerate_exact({order}, 3)",
-              lambda: enumerate_exact(order, 3, force=True)),
+              lambda: enumerate_exact(order, 3)),
              (f"explore_minimizers({order})",
               lambda: explore_minimizers(order)))
     oracle._level.cache_clear()
@@ -201,8 +201,10 @@ def census(order):
 
 def main(argv):
     numbers = [*map(int, argv), *(5, 7)[len(argv):]]
-    if len(numbers) != 2 or numbers[0] < 1:
-        raise SystemExit("usage: time_layers.py [SEEDS [ORDER]], SEEDS >= 1")
+    if len(numbers) != 2 or numbers[0] < 1 \
+            or numbers[1] > oracle.ENUMERATION_LIMIT:
+        raise SystemExit("usage: time_layers.py [SEEDS [ORDER]], SEEDS >= 1,"
+                         f" ORDER <= {oracle.ENUMERATION_LIMIT}")
     seeds, order = numbers
     probe, rows, columns = Probe(), [], []
     with tempfile.TemporaryDirectory() as scratch:
