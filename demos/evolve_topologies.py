@@ -20,11 +20,13 @@ print(f"degree window {result.scope[0]}..{result.scope[1]},"
 print(summary.render(), end="")
 
 # The archive keeps one best record per degree and generation; the last
-# harvest shows where the search settled.
-last = result.generations[-1]
-for delta, record in sorted(last.harvested.items()):
-    print(f"final harvest at delta={delta}:"
-          f" I' = {format_ratio(record.value)} bits={record.graph.bits()}")
+# generation's records show where the search settled.
+last = result.generations[-1].generation
+for record in result.archive:
+    if record.generation == last:
+        print(f"final harvest at delta={record.delta}:"
+              f" I' = {format_ratio(record.value)}"
+              f" bits={record.graph.bits()}")
 
 # Seven sites are small enough to enumerate outright, so the claim above
 # can be checked against every one of the 2^21 encodings.

@@ -9,9 +9,10 @@ All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
 only, never into files; the manifest keeps a null timings slot.
 
-Result files are indent-2 JSON written as text by the writer in graphs:
-the manifest with sorted keys, composed from records rendered once, and
-the selected graphs in graph_to_json's key order.  The argument parser is
+`solve` renders every result file's text first, then writes each file as
+that text.  The JSON files are indent-2 text from graphs.json_text: the
+manifest, one dict with sorted keys that records each fact once, and the
+selected graphs in graph_to_json's key order.  The argument parser is
 built once per process and reused by every main call.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import sys
 from pathlib import Path
 from typing import Optional
@@ -32,8 +34,8 @@ from .factors import FactorSpec, certify_requirement, delta_scope, \
     fractional_k_factor, has_fractional_factor
 from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     counterexample_family, disjoint_cliques, empty_graph, extremal_family, \
-    from_bits, graph_from_json, graph_to_dot, graph_to_json, \
-    graph_to_json_text, json_array, json_object, json_value, star
+    from_bits, graph_from_json, graph_to_dot, graph_to_json_text, \
+    json_text, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
 from .toughness import exact_isolated_toughness, \
@@ -73,41 +75,22 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 # ----- subcommand handlers --------------------------------------------------
 
-def _record_text(record: CandidateRecord) -> str:
-    """A record as it opens in the manifest's archive, at depth 2."""
-    return json_object((
-        ("bits", json_value(record.graph.bits())),
-        ("delta", json_value(record.delta)),
-        ("generation", json_value(record.generation)),
-        ("value", json_value(format_ratio(record.value))),
-        ("verified", json_value(record.verified)),
-    ), 2)
+def _record(record: CandidateRecord) -> dict:
+    """A record as the manifest's archive and unverified lists hold it."""
+    return {"bits": record.graph.bits(), "delta": record.delta,
+            "generation": record.generation,
+            "value": format_ratio(record.value), "verified": record.verified}
 
 
-def _manifest_text(result: RunResult, summary: SolverReport,
-                   graphs: list[list[tuple[str, str]]]) -> str:
-    """manifest.json: the run record, with every object's keys sorted.
+def _manifest(result: RunResult, summary: SolverReport) -> dict:
+    """manifest.json's data: the run record, each fact once.
 
-    Each record is rendered once.  A harvested record (also in the archive)
-    and each of `graphs` (its own file's fields) open two levels deeper.
+    A generation's harvest at degree d is the archive record with that
+    generation and delta d; a selected graph's record is its own file.
     """
     config = result.config
-    archive = [_record_text(r) for r in result.archive]
-    text_of = {id(r): text for r, text in zip(result.archive, archive)}
-    generations = []
-    for entry in result.generations:
-        harvested = {str(d): text_of[id(r)].replace("\n", "\n    ")
-                     for d, r in entry.harvested.items()}
-        generations.append(json_object((
-            ("accepted", json_value({str(d): len(records) for d, records
-                                     in entry.buckets.items()},
-                                    3, sort_keys=True)),
-            ("generation", json_value(entry.generation)),
-            ("harvested", json_object(sorted(harvested.items()), 3)),
-            ("rejects", json_value(entry.rejects)),
-        ), 2))
-    fields = {
-        "config": json_value({
+    return {
+        "config": {
             "n": config.n,
             "k": config.k,
             "population_size": config.population_size,
@@ -117,21 +100,45 @@ def _manifest_text(result: RunResult, summary: SolverReport,
             "seed": config.seed,
             "scope": list(result.scope),
             "exact_verify_limit": config.exact_verify_limit,
-        }, 1, sort_keys=True),
-        "generations": json_array(generations, 1),
-        "archive": json_array(archive, 1),
-        "unverified": json_array(map(_record_text, result.unverified), 1),
-        "diversified": json_array([json_object(sorted(
-            (key, text.replace("\n", "\n    ")) for key, text in fields), 2)
-            for fields in graphs], 1),
-        "optima": json_value({str(d): None if v is None else format_ratio(v)
-                              for d, v in summary.optima.items()},
-                             1, sort_keys=True),
-        "counts": json_value({str(d): c for d, c in summary.counts.items()},
-                             1, sort_keys=True),
-        "timings": json_value(None),
+        },
+        "generations": [
+            {"accepted": {str(d): len(records)
+                          for d, records in entry.buckets.items()},
+             "generation": entry.generation,
+             "rejects": entry.rejects}
+            for entry in result.generations],
+        "archive": [_record(r) for r in result.archive],
+        "unverified": [_record(r) for r in result.unverified],
+        "diversified": [g.bits() for g in result.diversified.selected],
+        "optima": {str(d): None if v is None else format_ratio(v)
+                   for d, v in summary.optima.items()},
+        "counts": {str(d): c for d, c in summary.counts.items()},
+        "timings": None,
     }
-    return json_object(sorted(fields.items())) + "\n"
+
+
+def _result_files(result: RunResult, summary: SolverReport
+                  ) -> dict[str, str]:
+    """Every file `solve` writes, by name, as text."""
+    files = {"manifest.json": json_text(_manifest(result, summary),
+                                        sort_keys=True)}
+    table = io.StringIO()
+    writer = csv.writer(table)  # rows end in \r\n, csv's default
+    writer.writerow(["delta", "best_value", "count"])
+    for delta in range(result.scope[0], result.scope[1] + 1):
+        value = summary.optima[delta]
+        writer.writerow([delta,
+                         "Null" if value is None else format_ratio(value),
+                         summary.counts[delta]])
+    files["summary.csv"] = table.getvalue()
+    # diversity_enhancement picks only from the archive, so every selected
+    # graph has its exact I' here
+    values = {r.graph.code: r.value for r in result.archive}
+    for rank, g in enumerate(result.diversified.selected):
+        files[f"selected-{rank}.json"] = graph_to_json_text(
+            g, format_ratio(values[g.code]))
+        files[f"selected-{rank}.dot"] = graph_to_dot(g)
+    return files
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -146,31 +153,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         exact_verify_limit=args.exact_verify_limit)
     result = run_solver(config)
     summary = report(result)
-
-    # diversity_enhancement picks only from the archive, so every selected
-    # graph has its exact I' here
-    values = {r.graph.code: r.value for r in result.archive}
-    graphs = [[(key, json_value(item, 1)) for key, item in
-               graph_to_json(g, format_ratio(values[g.code])).items()]
-              for g in result.diversified.selected]
+    files = _result_files(result, summary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(
-        _manifest_text(result, summary, graphs))
-
-    with (out / "summary.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["delta", "best_value", "count"])
-        for delta in range(result.scope[0], result.scope[1] + 1):
-            value = summary.optima[delta]
-            writer.writerow([delta,
-                             "Null" if value is None else format_ratio(value),
-                             summary.counts[delta]])
-
-    for rank, (g, fields) in enumerate(zip(result.diversified.selected,
-                                           graphs)):
-        (out / f"selected-{rank}.json").write_text(json_object(fields) + "\n")
-        (out / f"selected-{rank}.dot").write_text(graph_to_dot(g))
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
 
     print(f"scope {result.scope[0]}..{result.scope[1]}")
     print(summary.render(), end="")

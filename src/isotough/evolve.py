@@ -96,7 +96,6 @@ class CandidateRecord:
 class GenerationSummary:
     generation: int
     buckets: dict[int, tuple[CandidateRecord, ...]]
-    harvested: dict[int, CandidateRecord]
     rejects: int
     false_positives: int    # always 0; perfbench/tracer.py still reads it
 
@@ -286,19 +285,16 @@ def run_solver(config: SolverConfig,
                 buckets.setdefault(verdict.delta, []).append(record)
             else:
                 unverified.append(record)
-        harvested: dict[int, CandidateRecord] = {}
         for delta in sorted(buckets):
             best = min(buckets[delta],
                        key=lambda r: (r.value, canonical_key(r.graph)))
             if best.graph.code not in certified:
                 require_factor(best.graph, config.k, delta, best.value)
                 certified.add(best.graph.code)
-            harvested[delta] = best
             archive.append(best)
         summaries.append(GenerationSummary(
             generation=generation,
             buckets={d: tuple(records) for d, records in buckets.items()},
-            harvested=harvested,
             rejects=rejects,
             false_positives=0))
         elite = _elite(population, values, passing)

@@ -12,12 +12,10 @@ at worst computes it twice.  Equality, hashing and repr read only the
 order and the code, so they do not depend on whether a graph has been
 decoded.
 
-Result files are indent-2 JSON text built by `json_text` and its parts
-`json_value`, `json_object` and `json_array`.  They write exactly what
-`json.dumps(value, indent=2, sort_keys=...)` writes, at a fraction of
-the cost: CPython's json falls back to its pure-Python encoder whenever
-`indent` is set.  The parts let a caller compose a document from
-fragments it renders once, as `solve` does for its manifest.
+Result files are indent-2 JSON text built by `json_text`.  It writes
+exactly what `json.dumps(value, indent=2, sort_keys=...)` writes, at a
+fraction of the cost: CPython's json falls back to its pure-Python
+encoder whenever `indent` is set.
 """
 
 from __future__ import annotations
@@ -364,53 +362,37 @@ _SCALARS = {
 }
 
 
-def json_object(fields: Iterable[tuple[str, str]], depth: int = 0) -> str:
-    """An object from (key, rendered value) pairs, in the order given.
-
-    `depth` is the nesting level of the line the object opens on; each
-    value must have been rendered one level deeper.
-    """
-    newline = "\n" + "  " * depth
-    inner = newline + "  "
-    body = ("," + inner).join([f"{encode_basestring_ascii(key)}: {text}"
-                               for key, text in fields])
-    return f"{{{inner}{body}{newline}}}" if body else "{}"
-
-
-def json_array(items: Iterable[str], depth: int = 0) -> str:
-    """An array of rendered values; `depth` as for json_object."""
-    newline = "\n" + "  " * depth
-    inner = newline + "  "
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}{newline}]" if body else "[]"
-
-
-def json_value(value, depth: int = 0, sort_keys: bool = False) -> str:
-    """Indent-2 text of a value made of dicts with str keys, lists, tuples
-    and scalars, without the final line break; `depth` as for
-    json_object.  Floats, and whatever json itself would reject, go to
-    json.dumps."""
+def _json_value(value, depth: int, sort_keys: bool) -> str:
+    """Indent-2 text of a value whose first line sits at nesting level
+    `depth`, without the final line break.  Floats, and whatever json
+    itself would reject, go to json.dumps."""
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
+    newline = "\n" + "  " * depth
+    inner = newline + "  "
     if isinstance(value, dict):
         items = sorted(value.items()) if sort_keys else value.items()
-        return json_object([(key, json_value(item, depth + 1, sort_keys))
-                            for key, item in items], depth)
+        body = ("," + inner).join([
+            f"{encode_basestring_ascii(key)}:"
+            f" {_json_value(item, depth + 1, sort_keys)}"
+            for key, item in items])
+        return f"{{{inner}{body}{newline}}}" if body else "{}"
     if isinstance(value, (list, tuple)):
         try:  # an array of scalars, such as an edge, needs no call per item
             items = [_SCALARS[type(item)](item) for item in value]
         except KeyError:
-            items = [json_value(item, depth + 1, sort_keys)
+            items = [_json_value(item, depth + 1, sort_keys)
                      for item in value]
-        return json_array(items, depth)
+        body = ("," + inner).join(items)
+        return f"[{inner}{body}{newline}]" if body else "[]"
     return json.dumps(value)
 
 
 def json_text(value, sort_keys: bool = False) -> str:
     """Exactly `json.dumps(value, indent=2, sort_keys=sort_keys) + "\\n"`
-    for the values json_value takes."""
-    return json_value(value, 0, sort_keys) + "\n"
+    for a value made of dicts with str keys, lists, tuples and scalars."""
+    return _json_value(value, 0, sort_keys) + "\n"
 
 
 def graph_from_json(source: Union[str, dict]) -> Graph:

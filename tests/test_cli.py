@@ -475,7 +475,7 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
 # Python.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "3a4749dd39b641d16b02bb2b2f7053619a264d2bad0a8c6a7785dcd2c36004eb",
+        "bc3f13214184c7ad980aff50e93134123e920dd1a839366a613892afbf26c204",
     "selected-0.dot":
         "289a1758a661e1722fd8aadd8253cd0b4aeae43aabfb5959ee6e31c3cfe55e49",
     "selected-0.json":
@@ -645,7 +645,7 @@ def test_solve_files_are_the_indented_dumps(n, seed, capsys, tmp_path):
 
 
 def test_manifest_sorts_degree_keys_as_strings(capsys, tmp_path):
-    # at (23,2), seed 1, a generation harvests degrees on both sides of 10;
+    # at (23,2), seed 1, a generation accepts degrees on both sides of 10;
     # sorted keys put "10" before "9"
     out = tmp_path / "run"
     assert main(["solve", "--n", "23", "--k", "2", "--seed", "1",
@@ -654,9 +654,35 @@ def test_manifest_sorts_degree_keys_as_strings(capsys, tmp_path):
     text = (out / "manifest.json").read_text()
     manifest = json.loads(text)
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    assert any(min(map(int, entry["harvested"])) < 10
-               <= max(map(int, entry["harvested"]))
-               for entry in manifest["generations"] if entry["harvested"])
+    assert any(min(map(int, entry["accepted"])) < 10
+               <= max(map(int, entry["accepted"]))
+               for entry in manifest["generations"] if entry["accepted"])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (SOLVE_FAST, 0),
+    (["solve", "--n", "23", "--k", "2", "--seed", "1", "--generations",
+      "10"], 0),
+    (["solve", "--n", "25", "--k", "3", "--seed", "2", "--generations",
+      "5"], 3),
+], ids=["7-2", "23-2", "25-3-screened"])
+def test_accepted_degrees_are_the_archived_harvests(argv, code, capsys,
+                                                    tmp_path):
+    # a generation's harvest at degree d is the archive record with that
+    # generation and delta d, one for each degree it accepted; above the
+    # verify limit nothing is accepted and nothing archived
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == code
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all(set(entry) == {"accepted", "generation", "rejects"}
+               for entry in manifest["generations"])
+    accepted = sorted((entry["generation"], int(delta))
+                      for entry in manifest["generations"]
+                      for delta in entry["accepted"])
+    harvested = sorted((record["generation"], record["delta"])
+                       for record in manifest["archive"])
+    assert accepted == harvested
 
 
 def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):
@@ -664,9 +690,15 @@ def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):
     assert main(SOLVE_FAST + ["--out", str(out)]) == 0
     capsys.readouterr()
     manifest = json.loads((out / "manifest.json").read_text())
-    for rank, entry in enumerate(manifest["diversified"]):
-        assert main(["exact", "--json",
-                     str(out / f"selected-{rank}.json")]) == 0
+    archived = {record["bits"]: record for record in manifest["archive"]}
+    assert manifest["diversified"]
+    for rank, bits in enumerate(manifest["diversified"]):
+        path = out / f"selected-{rank}.json"
+        entry = json.loads(path.read_text())
+        assert entry["bits"] == bits
+        assert entry["delta"] == archived[bits]["delta"]
+        assert entry["i_prime"] == archived[bits]["value"]
+        assert main(["exact", "--json", str(path)]) == 0
         shown = capsys.readouterr().out
         assert f"delta = {entry['delta']}" in shown
         assert f"I' = {entry['i_prime']}" in shown

@@ -187,8 +187,15 @@ def test_archive_at_seven_two_limited_to_scope_degrees():
 
 def test_harvest_is_per_bucket_minimum():
     result = run_solver(SolverConfig(n=7, k=2, generations=30, seed=8))
+    harvests = {}
+    for record in result.archive:
+        harvests.setdefault(record.generation, {})[record.delta] = record
+    assert harvests
+    assert sum(map(len, harvests.values())) == len(result.archive)
     for summary in result.generations:
-        for delta, best in summary.harvested.items():
+        harvested = harvests.get(summary.generation, {})
+        assert set(harvested) == set(summary.buckets)
+        for delta, best in harvested.items():
             bucket = summary.buckets[delta]
             assert best in bucket
             assert all(best.value <= record.value for record in bucket)

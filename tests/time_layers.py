@@ -5,12 +5,14 @@ one table of per-graph routes.  Standard library only.
 
 Solves.  Each of the benchmark's six solve inputs (INPUTS) runs through
 `cli.main` at seed 0 untimed, then at seeds 1..SEEDS (default 5).  A probe
-over `cli.run_solver`, `evolve.canonical_form` and `evolve._next_population`
-prints the median ms per solve of each part: main (the whole call), solver
-(`run_solver`), canonical (the keys the search takes, inside the solver),
-write (solver return to main return: the result files and the summary) and
-parser (main start to solver start).  At seeds 0..SEEDS it also records
-each distinct encoding a generation decides and each one the search keys.
+over `cli.run_solver`, `cli._result_files`, `evolve.canonical_form` and
+`evolve._next_population` prints the median ms per solve of each part:
+main (the whole call), solver (`run_solver`), canonical (the keys the
+search takes, inside the solver), render (every result file's text, no
+I/O), write (render return to main return: creating the files, then the
+lines printed) and parser (main start to solver start).  At seeds
+0..SEEDS it also records each distinct encoding a generation decides and
+each one the search keys.
 
 Census.  The benchmark's census pass at ORDER (default 7, at most
 oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
@@ -62,7 +64,7 @@ INPUTS = (
     (7, 2, ()), (9, 2, ()), (12, 3, ()), (13, 3, ()), (16, 3, ()),
     (18, 3, ("--exact-verify-limit", "18", "--generations", "25")),
 )
-PARTS = ("main", "solver", "canonical", "write", "parser")
+PARTS = ("main", "solver", "canonical", "render", "write", "parser")
 PASSES = 10
 # requirement_check's outcomes: group and row label
 OUTCOMES = (("degree", "rejected by degree"), ("value", "rejected by value"),
@@ -99,21 +101,29 @@ def fastest(call, repeats=5):
 
 
 class Probe:
-    """Timestamps around run_solver, a running total of canonical_form and
-    the encodings decided (each generation reaches _next_population) and
-    keyed, installed over the names that cli and evolve look up."""
+    """Timestamps around run_solver and _result_files, a running total of
+    canonical_form and the encodings decided (each generation reaches
+    _next_population) and keyed, installed over the names that cli and
+    evolve look up."""
 
     def __init__(self):
-        self.solver, self.canonical = (0.0, 0.0), 0.0
+        self.solver = self.render = (0.0, 0.0)
+        self.canonical = 0.0
         self.decided, self.keyed = set(), set()
         run_solver, form = cli.run_solver, evolve.canonical_form
-        breed = evolve._next_population
+        render, breed = cli._result_files, evolve._next_population
 
         def timed_solver(*args, **kwargs):
             started = time.perf_counter()
             result = run_solver(*args, **kwargs)
             self.solver = (started, time.perf_counter())
             return result
+
+        def timed_render(*args):
+            started = time.perf_counter()
+            files = render(*args)
+            self.render = (started, time.perf_counter())
+            return files
 
         def timed_form(g):
             started = time.perf_counter()
@@ -127,6 +137,7 @@ class Probe:
             return breed(population, *args)
 
         cli.run_solver, evolve.canonical_form = timed_solver, timed_form
+        cli._result_files = timed_render
         evolve._next_population = recording
 
     def solve(self, n, k, flags, seed, out):
@@ -141,8 +152,10 @@ class Probe:
         if code != 0:
             raise SystemExit(f"solve {' '.join(argv)} exited {code}")
         begin, end = self.solver
+        rendering, rendered = self.render
         return {"main": ended - started, "solver": end - begin,
-                "canonical": self.canonical, "write": ended - end,
+                "canonical": self.canonical,
+                "render": rendered - rendering, "write": ended - rendered,
                 "parser": begin - started}
 
 
