@@ -53,8 +53,30 @@ def edge_index(u: int, v: int, n: int) -> int:
     return row_start + (v - u - 1)
 
 
+def _small_sets(bits: int) -> tuple[tuple[int, ...], ...]:
+    """set_bits of every mask below 2^bits, indexed by mask: the lowest
+    bit of m is followed by the bits of m with that bit cleared."""
+    table: list[tuple[int, ...]] = [()]
+    for mask in range(1, 1 << bits):
+        table.append(((mask & -mask).bit_length() - 1,)
+                     + table[mask & (mask - 1)])
+    return tuple(table)
+
+
+# Every vertex set of a graph of order 9 or less, the largest order that
+# enumerate_exact scans (oracle.ENUMERATION_LIMIT): 512 tuples, 43 KB.
+_SMALL_SETS = _small_sets(9)
+
+
 def set_bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of a non-negative mask, ascending."""
+    """Positions of the set bits of a non-negative mask, ascending.
+
+    Masks below 512 are read from a table built at import, so the
+    minimizers and neighbourhoods of graphs up to order 9 cost one
+    lookup; larger masks walk their bits.
+    """
+    if mask < 512:
+        return _SMALL_SETS[mask]
     members = []
     while mask:
         low = mask & -mask

@@ -16,10 +16,14 @@ nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
 with minimum degree, and keeps one canonical code per class.  Deleting a
 minimum-degree vertex of any graph leaves a class of the order below, so
-no class is lost.  Each level's sorted codes are built once per process
-and shared: later calls, from enumerate_exact, explore_minimizers or for
-another k, only wrap them in fresh Graph objects.  Order m tries
-|classes(m-1)| * 2^(m-1) masks, hours at m = 10: hence ENUMERATION_LIMIT.
+no class is lost.  Each level's graphs, sorted by code, are built once
+per process and shared: Graph is immutable, and each class decodes its
+adjacency on first use and keeps it, so a later call, from
+enumerate_exact, explore_minimizers or for another k, neither rebuilds
+nor decodes a class and pays only for its searches.  The graphs stay in
+memory once built, about 0.5 KB each decoded (274 668 at order 9).
+Order m tries |classes(m-1)| * 2^(m-1) masks, hours at m = 10: hence
+ENUMERATION_LIMIT.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters over all isomorphism classes up to order 7 (random
@@ -70,18 +74,20 @@ class EnumerationResult:
     elapsed_s: float
 
 
-def _min_code(g: Graph) -> int:
-    """Smallest encoding over all relabelings of g.
+def _min_code(g: Graph, best: Optional[int] = None) -> int:
+    """Smallest encoding over all relabelings of g, or `best` if that is
+    smaller: min(best, _min_code(g)), with None for no bound.
 
     Labels go out from n-1 down.  Handing out label a fixes the pairs
     (a, b), b > a, which are the highest bits not yet fixed, so a child
     must give a its smallest possible row; a branch stops once its fixed
     bits exceed the best code.  Of two tied candidates that are twins,
-    only the first is tried: swapping them is an automorphism.
+    only the first is tried: swapping them is an automorphism.  Passing
+    the best code of earlier graphs of the same order as `best` cuts
+    this graph's search from its start.
     """
     n = g.n
     adj = g.adjacency
-    best: Optional[int] = None
 
     def search(a: int, rows: dict[int, int], code: int) -> None:
         nonlocal best
@@ -148,7 +154,9 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
             optima[d] = DegreeOptimum(d, None, None)
             continue
         value, tied = best[d]
-        witness = min(_min_code(g) for g in tied)
+        witness = None
+        for g in tied:  # one bound through every tied class
+            witness = _min_code(g, witness)
         optima[d] = DegreeOptimum(d, value, Graph(n, witness))
     return EnumerationResult(n=n, k=k, scope=scope,
                              total_scanned=1 << pair_count(n), optima=optima,
@@ -158,33 +166,40 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
 # ----- non-isomorphic graph generation --------------------------------------
 
 def nonisomorphic_graphs(n: int) -> list[Graph]:
-    """Canonical representatives of every isomorphism class at order n.
+    """Canonical representatives of every isomorphism class at order n,
+    ascending by code.
 
     A class of order m comes from one of order m-1 plus a new vertex of
     minimum degree in the result, so only those extensions are labelled.
-    Each level is built once per process and shared by every later call;
-    the returned list is the caller's own.
+    Each level is built once per process, and every call hands out the
+    same Graph objects, decoded at most once each; the returned list
+    itself is the caller's own.
     """
     if n < 1:
         raise ValueError("need order n >= 1")
-    return [Graph(n, code) for code in _level(n)]
+    return list(_level(n))
 
 
 @functools.cache
-def _level(m: int) -> tuple[int, ...]:
-    """Sorted canonical codes of the classes of order m."""
+def _level(m: int) -> tuple[Graph, ...]:
+    """The shared class graphs of order m, sorted by canonical code.
+
+    Each graph decodes on first use and keeps its adjacency, so building
+    order m+1 decodes this level's graphs, and a scan of them decodes
+    each at most once per process.
+    """
     if m == 1:
-        return (0,)
+        return (Graph(1),)
     seen: set[int] = set()
-    for code in _level(m - 1):
-        degrees = Graph(m - 1, code).degrees
+    for parent in _level(m - 1):
+        code, degrees = parent.code, parent.degrees
         # the new vertex is 0: row 0 is the mask, the parent's rows follow
         for mask in range(1 << (m - 1)):
             if any(mask.bit_count() > d + (mask >> u & 1)
                    for u, d in enumerate(degrees)):
                 continue
             seen.add(canonical_code(Graph(m, code << (m - 1) | mask)))
-    return tuple(sorted(seen))
+    return tuple(Graph(m, code) for code in sorted(seen))
 
 
 # ----- minimizer cardinality survey -----------------------------------------

@@ -38,6 +38,7 @@ from isotough.graphs import (
     star,
     vertex_mask,
 )
+from isotough.oracle import ENUMERATION_LIMIT
 from isotough.rational import INFINITY, format_ratio, parse_ratio
 
 # The worked five-vertex example: one hub of degree 4, four rim vertices.
@@ -123,6 +124,20 @@ def test_set_bits():
     assert set_bits(0) == ()
     assert set_bits(0b101001) == (0, 3, 5)
     assert set_bits(1 << 63) == (63,)
+
+
+def bits_by_scan(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def test_set_bits_table_covers_every_enumerated_vertex_set():
+    assert 1 << ENUMERATION_LIMIT == 512
+    assert all(set_bits(mask) == bits_by_scan(mask) for mask in range(512))
+
+
+@given(st.integers(0, (1 << 64) - 1))
+def test_set_bits_matches_a_scan_of_every_bit(mask):
+    assert set_bits(mask) == bits_by_scan(mask)
 
 
 def adjacency_by_pairs(g):

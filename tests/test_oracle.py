@@ -141,6 +141,15 @@ def test_min_code_is_smallest_over_all_relabelings():
             assert _min_code(twin) == smallest, g.bits()
 
 
+def test_min_code_bound_only_cuts_the_search():
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            own = _min_code(g)
+            assert _min_code(g, None) == own
+            for best in {own - 1, own, own + 1} - {-1}:
+                assert _min_code(g, best) == min(best, own), (g.bits(), best)
+
+
 # ----- isomorphism class generation -----------------------------------------
 
 def test_nonisomorphic_counts_match_known_sequence():
@@ -173,6 +182,16 @@ def test_class_levels_are_built_once_per_process(monkeypatch):
     explore_minimizers(7)
     nonisomorphic_graphs(6)
     assert calls == 0
+
+
+def test_class_graphs_are_shared_and_decoded_once():
+    oracle._level.cache_clear()
+    first, second = nonisomorphic_graphs(6), nonisomorphic_graphs(6)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert not any("adjacency" in vars(g) for g in first)  # decoded lazily
+    enumerate_exact(6, 2)
+    assert all("adjacency" in vars(g) for g in nonisomorphic_graphs(6))
 
 
 def test_shared_level_is_not_changed_through_a_returned_list():

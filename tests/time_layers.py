@@ -17,8 +17,10 @@ each one the search keys.
 Census.  The benchmark's census pass at ORDER (default 7, at most
 oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
 explore_minimizers(ORDER), which samples above order 7.  One first class
-build from an empty cache is timed, then after one warm pass the median
-of ten passes is printed per step and per pass, in seconds.
+build from an empty cache is timed.  Then, per step and per pass, in
+seconds: the first pass after that build (cold: it decodes the classes of
+order ORDER) beside the median of the ten passes after it (warm: the
+classes are decoded, so only the searches remain).
 
 Routes.  Each row of ROUTES is timed as the fastest of five runs over a
 group of graphs already decoded, in us per graph, on each solve input's
@@ -191,7 +193,8 @@ def route_column(n, k, decided, keyed):
 
 
 def census(order):
-    """Print the first class build and the census pass's step medians."""
+    """Print the first class build, then the census pass's cold first
+    pass beside its warm step medians."""
     steps = ((f"enumerate_exact({order}, 2)",
               lambda: enumerate_exact(order, 2)),
              (f"enumerate_exact({order}, 3)",
@@ -201,15 +204,15 @@ def census(order):
     oracle._level.cache_clear()
     first = fastest(lambda: nonisomorphic_graphs(order), repeats=1)
     print(f"first class build at order {order}: {first:.3f} s")
-    for _, call in steps:  # warm pass
-        call()
-    times = [[fastest(call, repeats=1) for _ in range(PASSES)]
-             for _, call in steps]
-    print(f"census pass at order {order}, median of {PASSES} passes after"
-          " one warm pass")
-    for (label, _), column in zip(steps, times):
-        print(f"  {label:<24} {statistics.median(column):.4f} s")
-    print(f"  {'pass':<24} {statistics.median(map(sum, zip(*times))):.4f} s")
+    passes = [[fastest(call, repeats=1) for _, call in steps]
+              for _ in range(PASSES + 1)]
+    print(f"census pass at order {order}, s: the first pass after the build"
+          f" (cold) and the median of the {PASSES} passes after it (warm)")
+    print(f"  {'':<24} {'cold':>8} {'warm':>8}")
+    rows = [label for label, _ in steps] + ["pass"]
+    columns = [*zip(*passes), [sum(times) for times in passes]]
+    for label, (cold, *warm) in zip(rows, columns):
+        print(f"  {label:<24} {cold:>8.4f} {statistics.median(warm):>8.4f}")
 
 
 def main(argv):
