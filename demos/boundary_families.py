@@ -10,19 +10,17 @@ inequality necessary rather than cosmetic.
 """
 
 from isotough import (FactorSpec, certify_requirement, counterexample_family,
-                      exact_isolated_toughness,
-                      exact_isolated_toughness_variant, extremal_family,
-                      format_ratio, has_fractional_factor, requirement_bound,
-                      star)
+                      exact_isolated_toughness_pair, exact_variant_value,
+                      extremal_family, format_ratio, has_fractional_factor,
+                      requirement_bound, star)
 
 # A star is as fragile as it gets: deleting the hub isolates every leaf,
 # so one deletion buys n - 1 isolated vertices.
 print("stars")
 for n in (5, 6, 7):
-    plain = exact_isolated_toughness(star(n)).value
-    variant = exact_isolated_toughness_variant(star(n)).value
-    print(f"  star({n}): I = {format_ratio(plain)},"
-          f" I' = {format_ratio(variant)}")
+    plain, variant = exact_isolated_toughness_pair(star(n))
+    print(f"  star({n}): I = {format_ratio(plain.value)},"
+          f" I' = {format_ratio(variant.value)}")
 
 # The extremal family joins a small clique onto disjoint capacity-sized
 # blocks.  Growing the number of blocks walks both parameters along
@@ -31,10 +29,9 @@ for n in (5, 6, 7):
 print("extremal family, capacity 2")
 for copies in range(2, 6):
     g = extremal_family(2, copies)
-    plain = exact_isolated_toughness(g).value
-    variant = exact_isolated_toughness_variant(g).value
-    print(f"  {copies} blocks (order {g.n}): I = {format_ratio(plain)},"
-          f" I' = {format_ratio(variant)}")
+    plain, variant = exact_isolated_toughness_pair(g)
+    print(f"  {copies} blocks (order {g.n}): I = {format_ratio(plain.value)},"
+          f" I' = {format_ratio(variant.value)}")
 
 # The boundary family is the reason the acceptance test uses a strict
 # inequality.  Its variant toughness lands exactly on the bound for its
@@ -42,7 +39,7 @@ for copies in range(2, 6):
 print("boundary family")
 for k, t in ((2, 0), (2, 1), (3, 0)):
     g = counterexample_family(k, t)
-    value = exact_isolated_toughness_variant(g).value
+    value = exact_variant_value(g)
     bound = requirement_bound(k, g.min_degree)
     factored = has_fractional_factor(g, FactorSpec(k, k))
     print(f"  k={k} t={t} (order {g.n}): I' = {format_ratio(value)}"

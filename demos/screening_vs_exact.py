@@ -15,8 +15,8 @@ overshoots.
 import random
 from fractions import Fraction
 
-from isotough import (Graph, INFINITY, exact_isolated_toughness_variant,
-                      format_ratio, pair_count, pseudo_greedy_estimate)
+from isotough import (Graph, INFINITY, exact_variant_value, format_ratio,
+                      pair_count, pseudo_greedy_estimate)
 
 rng = random.Random(2024)
 samples = 400
@@ -28,7 +28,7 @@ for _ in range(samples):
     g = Graph(n, rng.getrandbits(pair_count(n)))  # each pair with p = 1/2
 
     estimate = pseudo_greedy_estimate(g, rng).estimate
-    exact = exact_isolated_toughness_variant(g).value
+    exact = exact_variant_value(g)
 
     # the estimate is an upper bound by construction; anything else
     # would be a bug worth crashing on

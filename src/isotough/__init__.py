@@ -27,8 +27,9 @@ from .oracle import BenchmarkReport, EnumerationResult, MinimizerSurvey, \
     benchmark, enumerate_exact, explore_minimizers, nonisomorphic_graphs
 from .rational import INFINITY, Ratio, format_ratio, parse_ratio
 from .toughness import PseudoGreedyTrace, ToughnessResult, \
-    exact_isolated_toughness, exact_isolated_toughness_variant, \
-    exact_variant_above, pseudo_greedy_estimate, roulette_select
+    exact_isolated_toughness, exact_isolated_toughness_pair, \
+    exact_isolated_toughness_variant, exact_variant_above, \
+    exact_variant_value, pseudo_greedy_estimate, roulette_select
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,8 @@ __all__ = [
     "complete", "counterexample_family", "deduplicate", "delta_scope",
     "disjoint_cliques", "diversity_enhancement", "empty_graph",
     "enumerate_exact", "exact_isolated_toughness",
-    "exact_isolated_toughness_variant", "exact_variant_above",
+    "exact_isolated_toughness_pair", "exact_isolated_toughness_variant",
+    "exact_variant_above", "exact_variant_value",
     "explore_minimizers",
     "extremal_family", "format_ratio", "fractional_k_factor", "from_bits",
     "from_edges", "graph_from_json", "graph_to_dot", "graph_to_json",

@@ -38,8 +38,7 @@ from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     json_text, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
-from .toughness import exact_isolated_toughness, \
-    exact_isolated_toughness_variant
+from .toughness import exact_isolated_toughness_pair
 
 _VERSION = "0.1.0"
 
@@ -172,8 +171,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    plain = exact_isolated_toughness(g)
-    variant = exact_isolated_toughness_variant(g)
+    plain, variant = exact_isolated_toughness_pair(g)
     print(f"delta = {g.min_degree if g.n else 0}")
     print(f"I = {format_ratio(plain.value)}")
     print(f"I' = {format_ratio(variant.value)}")

@@ -6,11 +6,12 @@ minimum degree outside scope rejects it outright, and otherwise the
 early-exit exact search either rejects it at the first ratio at or below
 the bound or returns its exact I'.  Passers keep that value for the
 harvest and the elite.  Only in a generation with no passer does the
-elite need every member's value; then the full exact I' is taken, again
-once per encoding per run.  Above the limit, by default
-toughness.DEFAULT_EXACT_LIMIT, the order through which every graph fits
-the exact engine's node budget, every individual is scored by the
-pseudo-greedy estimate, which requirement_check and the elite both read.
+elite need every member's value; then the exact engine's value search,
+which keeps no minimizers, takes I', again once per encoding per run.
+Above the limit, by default toughness.DEFAULT_EXACT_LIMIT, the order
+through which every graph fits the exact engine's node budget, every
+individual is scored by the pseudo-greedy estimate, which
+requirement_check and the elite both read.
 Up to the limit, accepted records are bucketed by minimum degree and
 each bucket's best moves into the archive, where the flow search
 certifies its fractional k-factor once more (a mismatch is a
@@ -43,7 +44,7 @@ from .graphs import Graph, complete, counterexample_family, hamming_distance, \
     pair_count
 from .rational import Ratio
 from .toughness import DEFAULT_EXACT_LIMIT, \
-    exact_isolated_toughness_variant, pseudo_greedy_estimate
+    exact_variant_value, pseudo_greedy_estimate
 
 DEFAULT_SEED = 42
 
@@ -256,8 +257,7 @@ def run_solver(config: SolverConfig,
     # one entry per distinct encoding: all graphs of a run share the order
     decide = functools.cache(
         lambda g: requirement_check(g, config.k, scope))
-    exact_value = functools.cache(
-        lambda g: exact_isolated_toughness_variant(g).value)
+    exact_value = functools.cache(exact_variant_value)
     canonical_key = functools.cache(lambda g: canonical_form(g).key)
 
     verified = config.n <= config.exact_verify_limit

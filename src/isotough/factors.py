@@ -36,7 +36,7 @@ from typing import Optional
 from .errors import ConsistencyError, InputError, ScopeError
 from .graphs import Graph
 from .rational import Ratio
-from .toughness import exact_isolated_toughness_variant, exact_variant_above
+from .toughness import exact_variant_above, exact_variant_value
 
 
 @dataclass(frozen=True)
@@ -284,14 +284,14 @@ def certify_requirement(g: Graph, k: int,
         scope = (k, max(k, g.n - 1))
     else:
         check_scope(g.n, k, scope)
-    exact = exact_isolated_toughness_variant(g)
-    verdict = requirement_check(g, k, scope, value=exact.value)
+    value = exact_variant_value(g)
+    verdict = requirement_check(g, k, scope, value=value)
     if verdict.accepted:
-        require_factor(g, k, verdict.delta, exact.value)
+        require_factor(g, k, verdict.delta, value)
         factor = True
     else:
         factor = has_fractional_factor(g, FactorSpec.k_factor(k))
-    return FactorCertificate(delta=verdict.delta, i_prime=exact.value,
+    return FactorCertificate(delta=verdict.delta, i_prime=value,
                              bound=verdict.bound, accepted=verdict.accepted,
                              reason=verdict.reason, factor_exists=factor,
                              k=k)

@@ -357,9 +357,9 @@ def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
     budget trips."""
     from .rational import format_ratio
     if i_prime is None and g.n:
-        from .toughness import exact_isolated_toughness_variant
+        from .toughness import exact_variant_value
         try:
-            i_prime = format_ratio(exact_isolated_toughness_variant(g).value)
+            i_prime = format_ratio(exact_variant_value(g))
         except CapacityError:
             pass
     return {

@@ -26,12 +26,12 @@ Order m tries |classes(m-1)| * 2^(m-1) masks, hours at m = 10: hence
 ENUMERATION_LIMIT.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
-and variant parameters over all isomorphism classes up to order 7 (random
-sampling beyond, which needs samples >= 1), checking that minimizers of
-different cardinality always order the same way in both size and isolated
-count.  pairs_checked counts every pair, plain times variant minimizers
-per graph, but only the pairs of different sizes are visited, in the
-order of the full product.
+and variant parameters, both from one exact search per graph, over all
+isomorphism classes up to order 7 (random sampling beyond, which needs
+samples >= 1), checking that minimizers of different cardinality always
+order the same way in both size and isolated count.  pairs_checked counts
+every pair, plain times variant minimizers per graph, but only the pairs
+of different sizes are visited, in the order of the full product.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .evolve import DEFAULT_SEED, SolverConfig, _bernoulli_mask, report, \
 from .factors import check_scope, delta_scope, requirement_check
 from .graphs import Graph, pair_count
 from .rational import Ratio
-from .toughness import exact_isolated_toughness, \
-    exact_isolated_toughness_variant
+from .toughness import exact_isolated_toughness_pair
 
 ENUMERATION_LIMIT = 9
 EXHAUSTIVE_SURVEY_LIMIT = 7
@@ -224,8 +223,7 @@ class MinimizerSurvey:
 
 
 def _survey_graph(g: Graph, survey: MinimizerSurvey) -> None:
-    plain = exact_isolated_toughness(g)
-    variant = exact_isolated_toughness_variant(g)
+    plain, variant = exact_isolated_toughness_pair(g)
     if not plain.minimizers or not variant.minimizers:
         return  # INFINITY: no S qualifies
     survey.graphs_checked += 1

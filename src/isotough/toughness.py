@@ -16,7 +16,7 @@ does one mask, the empty one, tie at several sizes of J, and the
 largest, all the isolated vertices, is kept.
 
 A depth-first search grows J in vertex order over bitmasks and cuts a
-branch when its best reachable ratio, |N(J)| over |J| + |candidates|,
+branch when its best reachable ratio, |N(J)| over f(|J| + |candidates|),
 is strictly above the best found (so ties survive), or when a
 passed-over vertex outside N(J) has its whole neighbourhood in N(J),
 which leaves no closed extension.  Ratios are compared by integer
@@ -24,12 +24,34 @@ cross-multiplication.  The value is interned: every search that ends on
 the same ratio returns the same Fraction object, from a cache of at most
 65 x 65 entries since both terms are at most n <= 64.
 
-exact_variant_above runs the same search in floor mode, for callers that
-only need I' when it strictly clears a bound: the floor enters as an
-integer numerator and denominator, the search stops at the first ratio
-at or below it, the bound cut also drops branches that can at best tie
-the best ratio found, no masks are kept, and a Fraction is built only
-for a value that clears the floor.
+The engine has two modes.  The full mode walks the independent sets once
+for both parameters: it keeps the plain best and the variant best, each
+with its minimizer masks, and cuts a branch only when both bound tests
+cut it.  exact_isolated_toughness_pair returns both results;
+exact_isolated_toughness and exact_isolated_toughness_variant are its
+halves.  This pass visits exactly the union of the nodes that two
+single-parameter searches would visit.  A node's ratio does not depend
+on the search, and a cut branch holds no ratio below the best it was
+cut by, so each best at any point of the walk is the minimum over all
+earlier nodes, in both the pass and a single search.  Both bound tests
+only get stronger later in the walk, where the bests are lower, and
+deeper in the tree, where |N(J)| grows and the reachable |J| shrinks.
+So if the pass reaches a node, some parameter's test fails at the last
+branch above it and hence at every branch above it: that parameter's
+own search reaches the node too.  Conversely the pass cuts only where
+both searches cut.  It thus visits at most the sum of the two searches'
+nodes, which stays under NODE_BUDGET, twice the largest single search
+seen through order DEFAULT_EXACT_LIMIT.
+
+The floor mode serves callers that read only I': exact_variant_above,
+which needs I' only when it strictly clears a bound, and
+exact_variant_value, which uses the floor -1, below every ratio.  The
+floor enters as an integer numerator and denominator, the search stops
+at the first ratio at or below it, the bound cut also drops branches
+that can at best tie the best ratio found, no masks are kept, and a
+Fraction is built only for a value that clears the floor.  The plain
+best stays at -1/0 there, which cuts every bound, so the variant alone
+decides each cut at the cost of one comparison.
 
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
@@ -57,12 +79,13 @@ from .graphs import Graph, set_bits
 from .rational import INFINITY, Ratio
 
 # Search nodes before a CapacityError: twice the worst case seen through
-# order DEFAULT_EXACT_LIMIT, the perfect matching's 3**12 - 1, so all fit.
+# order DEFAULT_EXACT_LIMIT for either parameter, the perfect matching's
+# 3**12 - 1, so a pass for both, at most their sum, fits.
 NODE_BUDGET = 2 * 3**12
 DEFAULT_EXACT_LIMIT = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToughnessResult:
     value: Ratio
     minimizers: tuple[tuple[int, ...], ...]
@@ -89,60 +112,78 @@ class _AtOrBelowFloor(Exception):
     up."""
 
 
-def _independent_set_search(g: Graph, variant: bool,
-                            floor: Optional[tuple[int, int]] = None
-                            ) -> tuple[Ratio, dict[int, int]]:
-    """The minimum ratio and, for each neighbourhood mask N(J) attaining
-    it, the largest |J| found with it, which is i(G - N(J)).
+_Best = tuple[Ratio, dict[int, int]]
 
-    With a floor, given as (numerator, denominator), no masks are kept,
-    ties are cut, and _AtOrBelowFloor ends the search at the first ratio
-    at or below the floor.  Past NODE_BUDGET nodes it raises CapacityError.
+
+def _independent_set_search(g: Graph,
+                            floor: Optional[tuple[int, int]] = None
+                            ) -> tuple[_Best, _Best]:
+    """(plain, variant): each parameter's minimum ratio and, for each
+    neighbourhood mask N(J) attaining it, the largest |J| found with it,
+    which is i(G - N(J)).
+
+    With a floor, given as (numerator, denominator), only the variant is
+    searched: the plain half reads INFINITY, no masks are kept, ties are
+    cut, and _AtOrBelowFloor ends the search at the first ratio at or
+    below the floor.  Past NODE_BUDGET nodes it raises CapacityError.
     """
     n = g.n
     if n < 1:
         raise InputError("toughness needs at least one vertex")
     if g.is_complete():  # no qualifying S at any order
-        return INFINITY, {}
+        return (INFINITY, {}), (INFINITY, {})
 
     adj = g.adjacency
     budget = NODE_BUDGET
-    shift = 1 if variant else 0
     keep = floor is None
-    tie = 0 if keep else 1  # a bound equal to the best is cut iff tie
+    tie = 0 if keep else 1  # a bound equal to a best is cut iff tie
     # -1/1 lies below every ratio, so without a floor the stop never fires
     floor_num, floor_den = (-1, 1) if keep else floor
-    best_num, best_den = -1, 0  # -1/0 stands for INFINITY
-    best_masks: dict[int, int] = {}
+    # 1/0 stands for INFINITY: every ratio improves on it and it cuts no
+    # bound.  In floor mode the plain best is -1/0, which no ratio
+    # improves on and which cuts every bound, so the variant alone cuts.
+    plain_num, plain_den = (1 if keep else -1), 0
+    variant_num, variant_den = 1, 0
+    plain_masks: dict[int, int] = {}
+    variant_masks: dict[int, int] = {}
 
     def visit(size: int, nbrs: int, cand: int, skipped: int) -> None:
         # J has `size` vertices and neighbourhood `nbrs`; `cand` holds the
         # later vertices J may still take, `skipped` the passed-over ones
-        nonlocal best_num, best_den, budget
+        nonlocal plain_num, plain_den, variant_num, variant_den, budget
         budget -= 1
         if budget < 0:
             raise CapacityError(f"the exact search at order {n} passed its"
                                 f" budget of {NODE_BUDGET} nodes")
         covered = nbrs.bit_count()
         if size >= 2:
-            den = size - shift
-            if best_num < 0 or covered * best_den < best_num * den:
+            # only the empty mask ties at several sizes (ratio 0); the
+            # largest J is the closed one
+            den = size - 1
+            if covered * variant_den < variant_num * den:
                 if covered * floor_den <= floor_num * den:
                     raise _AtOrBelowFloor
-                best_num, best_den = covered, den
+                variant_num, variant_den = covered, den
                 if keep:
-                    best_masks.clear()
-                    best_masks[nbrs] = size
-            elif keep and covered * best_den == best_num * den:
-                # only the empty mask ties at several sizes (ratio 0); the
-                # largest J is the closed one
-                if best_masks.get(nbrs, 0) < size:
-                    best_masks[nbrs] = size
+                    variant_masks.clear()
+                    variant_masks[nbrs] = size
+            elif keep and covered * variant_den == variant_num * den:
+                if variant_masks.get(nbrs, 0) < size:
+                    variant_masks[nbrs] = size
+            if keep:
+                if covered * plain_den < plain_num * size:
+                    plain_num, plain_den = covered, size
+                    plain_masks.clear()
+                    plain_masks[nbrs] = size
+                elif covered * plain_den == plain_num * size:
+                    if plain_masks.get(nbrs, 0) < size:
+                        plain_masks[nbrs] = size
         while cand:
             top = size + cand.bit_count()  # largest |J| left on this branch
-            if top < 2 or (best_num >= 0 and covered * best_den + tie
-                           > best_num * (top - shift)):
-                return  # bound cut
+            if top < 2 or (
+                    covered * variant_den + tie > variant_num * (top - 1)
+                    and covered * plain_den + tie > plain_num * top):
+                return  # bound cut, for both parameters
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
@@ -161,26 +202,40 @@ def _independent_set_search(g: Graph, variant: bool,
             skipped |= low
 
     visit(0, 0, (1 << n) - 1, 0)
-    if best_num < 0:
-        return INFINITY, {}
-    return _ratio(best_num, best_den), best_masks
+    return ((INFINITY if plain_den == 0 else _ratio(plain_num, plain_den),
+             plain_masks),
+            (INFINITY if variant_den == 0
+             else _ratio(variant_num, variant_den), variant_masks))
 
 
-def _full_result(g: Graph, variant: bool) -> ToughnessResult:
-    value, sizes = _independent_set_search(g, variant)
+def _result(value: Ratio, sizes: dict[int, int]) -> ToughnessResult:
     masks = sorted(sizes)
     return ToughnessResult(value, tuple(map(set_bits, masks)),
                            tuple(map(sizes.__getitem__, masks)))
 
 
+def exact_isolated_toughness_pair(g: Graph
+                                  ) -> tuple[ToughnessResult, ToughnessResult]:
+    """(I(g), I'(g)), each with all its minimizers, from one search."""
+    plain, variant = _independent_set_search(g)
+    return _result(*plain), _result(*variant)
+
+
 def exact_isolated_toughness(g: Graph) -> ToughnessResult:
     """min |S| / i(G-S) over S with i(G-S) >= 2, with all minimizers."""
-    return _full_result(g, variant=False)
+    return _result(*_independent_set_search(g)[0])
 
 
 def exact_isolated_toughness_variant(g: Graph) -> ToughnessResult:
     """min |S| / (i(G-S) - 1) over S with i(G-S) >= 2."""
-    return _full_result(g, variant=True)
+    return _result(*_independent_set_search(g)[1])
+
+
+def exact_variant_value(g: Graph) -> Ratio:
+    """I'(g) alone, for callers that read no minimizer: the floor mode
+    with the floor -1, which never fires, so ties are cut and no masks
+    are kept."""
+    return _independent_set_search(g, (-1, 1))[1][0]
 
 
 def exact_variant_above(g: Graph, floor: Ratio) -> Optional[Ratio]:
@@ -195,10 +250,9 @@ def exact_variant_above(g: Graph, floor: Ratio) -> Optional[Ratio]:
     except OverflowError:  # a float infinity
         raise ValueError("the floor must be finite") from None
     try:
-        value, _ = _independent_set_search(g, True, ratio)
+        return _independent_set_search(g, ratio)[1][0]
     except _AtOrBelowFloor:
         return None
-    return value
 
 
 def roulette_select(degrees: Sequence[int], p: float) -> int:

@@ -274,14 +274,14 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
     # at orders up to the verify limit no screen runs; every distinct code
     # gets one no-value requirement_check, the acceptance decision, and no
-    # check is given a value; full values are taken only in generations
+    # check is given a value; exact values are taken only in generations
     # with no passer, at most once per code.  At (7, 2) seed 1 has no such
     # generation, seed 4 opens with one and seed 42 with two.
     def no_screen(g, rng):
         raise AssertionError("pseudo-greedy screen called below the limit")
 
     real_check = evolve.requirement_check
-    real_exact = evolve.exact_isolated_toughness_variant
+    real_exact = evolve.exact_variant_value
     real_next = evolve._next_population
     generation = 0
     accepted_calls, full_calls, evaluated = [], [], set()
@@ -304,8 +304,7 @@ def test_solver_evaluates_each_distinct_code_once(monkeypatch):
 
     monkeypatch.setattr(evolve, "pseudo_greedy_estimate", no_screen)
     monkeypatch.setattr(evolve, "requirement_check", counting_check)
-    monkeypatch.setattr(evolve, "exact_isolated_toughness_variant",
-                        counting_exact)
+    monkeypatch.setattr(evolve, "exact_variant_value", counting_exact)
     monkeypatch.setattr(evolve, "_next_population", recording_next)
     for seed, expect_fallback in ((1, False), (4, True), (42, True)):
         generation = 0

@@ -19,7 +19,7 @@ from isotough.oracle import MinimizerSurvey, MinimizerViolation, \
     nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import ToughnessResult, exact_isolated_toughness, \
-    exact_isolated_toughness_variant
+    exact_isolated_toughness_pair, exact_isolated_toughness_variant
 
 
 def test_enumeration_validation():
@@ -300,9 +300,14 @@ def test_survey_records_violations_in_pair_order(monkeypatch):
         return ToughnessResult(result.value, result.minimizers,
                                tuple(-i for i in result.witness_i))
 
+    def negated_pair(g):
+        plain, variant = exact_isolated_toughness_pair(g)
+        return plain, ToughnessResult(variant.value, variant.minimizers,
+                                      tuple(-i for i in variant.witness_i))
+
     expected = survey_by_every_pair(
         [g for n in range(1, 7) for g in nonisomorphic_graphs(n)], negated)
-    monkeypatch.setattr(oracle, "exact_isolated_toughness_variant", negated)
+    monkeypatch.setattr(oracle, "exact_isolated_toughness_pair", negated_pair)
     survey = explore_minimizers(6)
     assert survey.violations and not survey.differing_examples
     assert survey.violations == expected.violations

@@ -33,8 +33,10 @@ from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import (
     exact_isolated_toughness,
+    exact_isolated_toughness_pair,
     exact_isolated_toughness_variant,
     exact_variant_above,
+    exact_variant_value,
     pseudo_greedy_estimate,
     roulette_select,
 )
@@ -170,12 +172,18 @@ def test_cycle_on_24_vertices():
 
 
 def test_perfect_matching_on_24_vertices():
-    # one endpoint of every edge is deleted: 2^12 minimizers
-    outcome = exact_isolated_toughness_variant(disjoint_cliques(12, 2))
-    assert outcome.value == Fraction(12, 11)
-    assert len(outcome.minimizers) == 1 << 12
-    assert len(set(outcome.minimizers)) == 1 << 12
-    assert outcome.witness_i == (12,) * (1 << 12)
+    # I': one endpoint of every edge is deleted, 2^12 minimizers.  I: one
+    # endpoint of each of j >= 2 edges, ratio 1, sum over j of
+    # C(12, j) 2^j = 3^12 - 1 - 24 minimizers, each leaving j isolated
+    plain, variant = exact_isolated_toughness_pair(disjoint_cliques(12, 2))
+    assert variant.value == Fraction(12, 11)
+    assert len(variant.minimizers) == 1 << 12
+    assert len(set(variant.minimizers)) == 1 << 12
+    assert variant.witness_i == (12,) * (1 << 12)
+    assert plain.value == 1
+    assert len(plain.minimizers) == 531_416 == 3**12 - 1 - 24
+    assert all(len(subset) == iso
+               for subset, iso in zip(plain.minimizers, plain.witness_i))
 
 
 def test_complete_bipartite_past_order_32():
@@ -218,12 +226,26 @@ def test_every_class_through_order_seven_fits_35_nodes(monkeypatch):
 
 # ----- minimizer contracts --------------------------------------------------
 
+def assert_pair_matches_brute_force(g):
+    """Both halves of one pair search, and each half called alone, give
+    brute_force's value, minimizers and witnesses."""
+    plain, variant = exact_isolated_toughness_pair(g)
+    assert as_tuple(plain) == as_tuple(exact_isolated_toughness(g)) \
+        == expected_result(g, False)
+    assert as_tuple(variant) == as_tuple(exact_isolated_toughness_variant(g)) \
+        == expected_result(g, True)
+
+
 @given(graphs(1, 9))
 @settings(max_examples=200, deadline=None)
 def test_exact_matches_brute_force(g):
-    for variant, compute in ((False, exact_isolated_toughness),
-                             (True, exact_isolated_toughness_variant)):
-        assert as_tuple(compute(g)) == expected_result(g, variant)
+    assert_pair_matches_brute_force(g)
+
+
+def test_pair_matches_brute_force_on_every_class_through_order_six():
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            assert_pair_matches_brute_force(g)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12, 13])
@@ -231,10 +253,7 @@ def test_exact_matches_brute_force_on_seeded_graphs(n):
     rng = random.Random(n)
     for p in (0.15, 0.3, 0.7, 0.9):
         code = sum(1 << b for b in range(pair_count(n)) if rng.random() < p)
-        g = Graph(n, code)
-        for variant, compute in ((False, exact_isolated_toughness),
-                                 (True, exact_isolated_toughness_variant)):
-            assert as_tuple(compute(g)) == expected_result(g, variant)
+        assert_pair_matches_brute_force(Graph(n, code))
 
 
 def assert_minimizers_attain(g):
@@ -347,6 +366,23 @@ def test_floor_mode_matches_full_engine_on_order_seven_classes():
     assert len(classes) == 1044
     for g in classes:
         assert_floor_mode_agrees(g)
+
+
+def test_value_search_matches_the_pair_on_order_seven_classes():
+    for n in range(1, 8):
+        for g in nonisomorphic_graphs(n):
+            assert exact_variant_value(g) \
+                == exact_isolated_toughness_pair(g)[1].value, g
+
+
+@pytest.mark.parametrize("n", range(8, 19))
+def test_value_search_matches_the_pair_on_seeded_graphs(n):
+    rng = random.Random(300 + n)
+    for p in (0.15, 0.3, 0.5, 0.7, 0.9):
+        code = sum(1 << b for b in range(pair_count(n)) if rng.random() < p)
+        g = Graph(n, code)
+        assert exact_variant_value(g) \
+            == exact_isolated_toughness_pair(g)[1].value, g
 
 
 def test_floor_mode_on_complete_graphs_is_infinite():

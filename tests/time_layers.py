@@ -30,7 +30,11 @@ decided graphs and on the classes of order ORDER at k = 2:
   candidate (so no other route includes it);
 - decide: `requirement_check`, over all graphs, then over those it rejects
   by degree (no search), rejects by value and accepts;
-- full: `exact_isolated_toughness_variant`: value, minimizers, witnesses;
+- full: `exact_isolated_toughness_pair`: both parameters' values,
+  minimizers and witnesses from one search, as the survey and `exact` take
+  them;
+- value: `exact_variant_value`: I' alone, no minimizers, as certify, graph
+  JSON and a solve generation with no passer take it;
 - screen: one pseudo-greedy screen, drawing from `random.Random(0)`;
 - canonical: `canonical_form`, over the graphs keyed (for the classes, all);
 - flow: `has_fractional_factor(g, FactorSpec.k_factor(k))`.
@@ -56,8 +60,8 @@ from isotough.factors import FactorSpec, delta_scope, \
 from isotough.graphs import Graph
 from isotough.oracle import enumerate_exact, explore_minimizers, \
     nonisomorphic_graphs
-from isotough.toughness import exact_isolated_toughness_variant, \
-    pseudo_greedy_estimate
+from isotough.toughness import exact_isolated_toughness_pair, \
+    exact_variant_value, pseudo_greedy_estimate
 
 # (n, k, flags) of the benchmark's SCREEN_CASES + VERIFY_CASES, copied so
 # that the script needs only the standard library; test_time_layers.py
@@ -83,7 +87,8 @@ ROUTES = (
     ("decode", "decided", lambda k, _: lambda g: Graph(g.n, g.code).degrees),
     ("decide", "decided", _decide),
     *((f"  {label}", group, _decide) for group, label in OUTCOMES),
-    ("full", "decided", lambda k, _: exact_isolated_toughness_variant),
+    ("full", "decided", lambda k, _: exact_isolated_toughness_pair),
+    ("value", "decided", lambda k, _: exact_variant_value),
     ("screen", "decided",
      lambda k, _: partial(pseudo_greedy_estimate, rng=random.Random(0))),
     ("canonical", "keyed", lambda k, _: canonical_form),
