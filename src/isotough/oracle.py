@@ -16,27 +16,35 @@ nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
 with minimum degree, and keeps one canonical code per class.  Deleting a
 minimum-degree vertex of any graph leaves a class of the order below, so
-no class is lost.  Each level's graphs, sorted by code, are built once
-per process and shared: Graph is immutable, and each class decodes its
-adjacency on first use and keeps it, so a later call, from
-enumerate_exact, explore_minimizers or for another k, neither rebuilds
-nor decodes a class and pays only for its searches.  The graphs stay in
-memory once built, about 0.5 KB each decoded (274 668 at order 9).
-Order m tries |classes(m-1)| * 2^(m-1) masks, hours at m = 10: hence
-ENUMERATION_LIMIT.
+no class is lost.  Swapping two twins of the parent (vertices with
+equal open or equal closed neighbourhoods) is an automorphism, so the
+extension masks are tried one per orbit of those swaps: 1808
+canonical_code calls at order 7 where every admissible mask took 2690,
+and 22 194 against 29 755 at order 8.  Each level's graphs,
+sorted by code, are built once per process and shared: Graph is
+immutable, and each class decodes its adjacency on first use and keeps
+it, so a later call, from enumerate_exact, explore_minimizers or for
+another k, neither rebuilds nor decodes a class and pays only for its
+searches.  The graphs stay in memory once built, about 0.5 KB each
+decoded (274 668 at order 9).  Order m tries at most
+|classes(m-1)| * 2^(m-1) masks; at m = 10 the twin orbits still leave
+120 417 020, hours of work: hence ENUMERATION_LIMIT.
 
 explore_minimizers exhaustively compares the minimizer sets of the plain
 and variant parameters, both from one exact search per graph, over all
 isomorphism classes up to order 7 (random sampling beyond, which needs
 samples >= 1), checking that minimizers of different cardinality always
-order the same way in both size and isolated count.  pairs_checked counts
-every pair, plain times variant minimizers per graph, but only the pairs
-of different sizes are visited, in the order of the full product.
+order the same way in both size and isolated count.  It reads the
+engine's neighbourhood masks and sizes directly and turns a mask into
+vertices only for a pair it records.  pairs_checked counts every pair,
+plain times variant minimizers per graph, but only the pairs of
+different sizes are visited, in the order of the full product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import platform
 import random
 import time
@@ -48,9 +56,9 @@ from .errors import CapacityError, InputError
 from .evolve import DEFAULT_SEED, SolverConfig, _bernoulli_mask, report, \
     run_solver
 from .factors import check_scope, delta_scope, requirement_check
-from .graphs import Graph, pair_count
+from .graphs import Graph, pair_count, set_bits
 from .rational import Ratio
-from .toughness import exact_isolated_toughness_pair
+from .toughness import _independent_set_search
 
 ENUMERATION_LIMIT = 9
 EXHAUSTIVE_SURVEY_LIMIT = 7
@@ -179,25 +187,59 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     return list(_level(n))
 
 
+def _twin_orbit_masks(parent: Graph) -> list[int]:
+    """One neighbourhood mask per orbit of the parent's twin swaps.
+
+    Twins have equal open or equal closed neighbourhoods, so swapping two
+    is an automorphism, and a vertex has twins of one kind at most.  Any
+    permutation of a twin class fixes the parent, so a mask's orbit is
+    fixed by how many of each class it takes: here always a prefix of the
+    class, ascending, with every vertex outside the classes free.  That
+    makes prod(|C| + 1) * 2^(free vertices) masks.
+    """
+    # keyed by N(u) and by N[u] = N(u) + u: no open neighbourhood equals
+    # a closed one, since v in N(u) = N[v] would put u in N[v] = N(u)
+    twins: dict[int, list[int]] = {}
+    for u, row in enumerate(parent.adjacency):
+        twins.setdefault(row, []).append(u)
+        twins.setdefault(row | 1 << u, []).append(u)
+    masks = [0]
+    free = (1 << parent.n) - 1
+    for group in twins.values():
+        if len(group) > 1:
+            prefixes = itertools.accumulate((1 << u for u in group),
+                                            initial=0)
+            masks = [mask | prefix for prefix in prefixes for mask in masks]
+            free &= ~sum(1 << u for u in group)
+    for u in set_bits(free):
+        masks += [mask | 1 << u for mask in masks]
+    return masks
+
+
 @functools.cache
 def _level(m: int) -> tuple[Graph, ...]:
     """The shared class graphs of order m, sorted by canonical code.
 
-    Each graph decodes on first use and keeps its adjacency, so building
-    order m+1 decodes this level's graphs, and a scan of them decodes
-    each at most once per process.
+    Each parent of order m-1 is extended by one mask per orbit of its
+    twin swaps (_twin_orbit_masks), of those that leave the new vertex
+    with minimum degree: a mask of at most delta vertices, delta the
+    parent's minimum degree, or one of delta + 1 that holds every vertex
+    of degree delta.  Each graph decodes on first use and keeps its
+    adjacency, so building order m+1 decodes this level's graphs, and a
+    scan of them decodes each at most once per process.
     """
     if m == 1:
         return (Graph(1),)
     seen: set[int] = set()
     for parent in _level(m - 1):
-        code, degrees = parent.code, parent.degrees
+        code, delta = parent.code, parent.min_degree
+        lowest = sum(1 << u for u, d in enumerate(parent.degrees)
+                     if d == delta)
         # the new vertex is 0: row 0 is the mask, the parent's rows follow
-        for mask in range(1 << (m - 1)):
-            if any(mask.bit_count() > d + (mask >> u & 1)
-                   for u, d in enumerate(degrees)):
-                continue
-            seen.add(canonical_code(Graph(m, code << (m - 1) | mask)))
+        for mask in _twin_orbit_masks(parent):
+            size = mask.bit_count()
+            if size <= delta or size == delta + 1 and mask & lowest == lowest:
+                seen.add(canonical_code(Graph(m, code << (m - 1) | mask)))
     return tuple(Graph(m, code) for code in sorted(seen))
 
 
@@ -223,27 +265,31 @@ class MinimizerSurvey:
 
 
 def _survey_graph(g: Graph, survey: MinimizerSurvey) -> None:
-    plain, variant = exact_isolated_toughness_pair(g)
-    if not plain.minimizers or not variant.minimizers:
+    # the engine's {N(J): |J|} dicts, each walked in mask order as a
+    # ToughnessResult lists it; |S| is a mask's bit count
+    (_, plain), (_, variant) = _independent_set_search(g)
+    if not plain or not variant:
         return  # INFINITY: no S qualifies
     survey.graphs_checked += 1
-    survey.pairs_checked += len(plain.minimizers) * len(variant.minimizers)
-    variants = tuple(zip(variant.minimizers, variant.witness_i))
-    cross: dict[int, list] = {}  # plain size -> variant pairs of other sizes
+    survey.pairs_checked += len(plain) * len(variant)
+    variants = [(mask, mask.bit_count(), iso)
+                for mask, iso in sorted(variant.items())]
+    cross: dict[int, list] = {}  # plain size -> variant triples of other sizes
     recorded = False
-    for s_plain, iso_plain in zip(plain.minimizers, plain.witness_i):
-        size = len(s_plain)
+    for s_plain, iso_plain in sorted(plain.items()):
+        size = s_plain.bit_count()
         if size not in cross:
-            cross[size] = [pair for pair in variants if len(pair[0]) != size]
-        for s_variant, iso_variant in cross[size]:
-            if len(s_variant) > size and iso_variant > iso_plain:
+            cross[size] = [triple for triple in variants if triple[1] != size]
+        for s_variant, variant_size, iso_variant in cross[size]:
+            if variant_size > size and iso_variant > iso_plain:
                 if recorded:
                     continue
                 recorded = True
                 found = survey.differing_examples
             else:
                 found = survey.violations
-            found.append(MinimizerViolation(g, s_plain, s_variant,
+            found.append(MinimizerViolation(g, set_bits(s_plain),
+                                            set_bits(s_variant),
                                             iso_plain, iso_variant))
 
 

@@ -13,13 +13,13 @@ from isotough.canonical import canonical_code
 from isotough.errors import CapacityError, ScopeError
 from isotough.factors import requirement_bound
 from isotough.graphs import Graph, complete, from_bits, from_edges, \
-    pair_count
+    pair_count, star
 from isotough.oracle import MinimizerSurvey, MinimizerViolation, \
     _min_code, benchmark, enumerate_exact, explore_minimizers, \
     nonisomorphic_graphs
 from isotough.rational import INFINITY
-from isotough.toughness import ToughnessResult, exact_isolated_toughness, \
-    exact_isolated_toughness_pair, exact_isolated_toughness_variant
+from isotough.toughness import ToughnessResult, _independent_set_search, \
+    exact_isolated_toughness, exact_isolated_toughness_variant
 
 
 def test_enumeration_validation():
@@ -176,12 +176,73 @@ def test_class_levels_are_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(oracle, "canonical_code", counted)
     enumerate_exact(7, 2)
-    assert calls == 3131  # one per extension labelled, orders 2..7
+    # one per extension labelled, one per twin orbit, orders 2..7
+    assert calls == 2 + 4 + 11 + 42 + 221 + 1808
     calls = 0
     enumerate_exact(7, 3)
     explore_minimizers(7)
     nonisomorphic_graphs(6)
     assert calls == 0
+
+
+def brute_force_levels(top):
+    """Classes of orders 1..top, each order from the one below through
+    every extension mask that leaves the new vertex with minimum degree."""
+    levels = [[Graph(1)]]
+    for m in range(2, top + 1):
+        codes = set()
+        for parent in levels[-1]:
+            for mask in range(1 << (m - 1)):
+                if all(mask.bit_count() <= d + (mask >> u & 1)
+                       for u, d in enumerate(parent.degrees)):
+                    codes.add(canonical_code(
+                        Graph(m, parent.code << (m - 1) | mask)))
+        levels.append([Graph(m, code) for code in sorted(codes)])
+    return levels
+
+
+def test_twin_orbit_levels_match_a_brute_force_build():
+    oracle._level.cache_clear()
+    for m, level in enumerate(brute_force_levels(7), start=1):
+        assert [g.code for g in nonisomorphic_graphs(m)] \
+            == [g.code for g in level], m
+
+
+def twin_swap_orbit(g, mask):
+    """Every image of mask under swaps of two vertices with equal
+    neighbourhoods apart from each other."""
+    adj = g.adjacency
+    swaps = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)]
+    orbit, todo = {mask}, [mask]
+    while todo:
+        current = todo.pop()
+        for u, v in swaps:
+            if (current >> u ^ current >> v) & 1:
+                image = current ^ (1 << u | 1 << v)
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("name,g,count", [
+    ("K1,4", star(5), 5 * 2),
+    ("K2,3", from_edges(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)]),
+     3 * 4),
+    ("C4", from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 3 * 3),
+    ("K4", complete(4), 5),
+    ("diamond", from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+     3 * 3),
+    ("P4, no twins", from_edges(4, [(0, 1), (1, 2), (2, 3)]), 2 ** 4),
+])
+def test_twin_orbit_masks_cover_every_mask_once(name, g, count):
+    # prod(|C| + 1) * 2^(vertices outside twin classes) masks, and every
+    # mask of the parent's vertices is a twin-swap image of exactly one
+    masks = oracle._twin_orbit_masks(g)
+    assert len(masks) == count
+    covered = [image for mask in masks for image in twin_swap_orbit(g, mask)]
+    assert sorted(covered) == list(range(1 << g.n))
 
 
 def test_class_graphs_are_shared_and_decoded_once():
@@ -300,14 +361,13 @@ def test_survey_records_violations_in_pair_order(monkeypatch):
         return ToughnessResult(result.value, result.minimizers,
                                tuple(-i for i in result.witness_i))
 
-    def negated_pair(g):
-        plain, variant = exact_isolated_toughness_pair(g)
-        return plain, ToughnessResult(variant.value, variant.minimizers,
-                                      tuple(-i for i in variant.witness_i))
+    def negated_search(g):
+        plain, (value, sizes) = _independent_set_search(g)
+        return plain, (value, {mask: -i for mask, i in sizes.items()})
 
     expected = survey_by_every_pair(
         [g for n in range(1, 7) for g in nonisomorphic_graphs(n)], negated)
-    monkeypatch.setattr(oracle, "exact_isolated_toughness_pair", negated_pair)
+    monkeypatch.setattr(oracle, "_independent_set_search", negated_search)
     survey = explore_minimizers(6)
     assert survey.violations and not survey.differing_examples
     assert survey.violations == expected.violations

@@ -17,10 +17,11 @@ each one the search keys.
 Census.  The benchmark's census pass at ORDER (default 7, at most
 oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
 explore_minimizers(ORDER), which samples above order 7.  One first class
-build from an empty cache is timed.  Then, per step and per pass, in
-seconds: the first pass after that build (cold: it decodes the classes of
-order ORDER) beside the median of the ten passes after it (warm: the
-classes are decoded, so only the searches remain).
+build from an empty cache is timed, and the extensions it labels are
+counted per order, one per call to canonical_code.  Then, per step and
+per pass, in seconds: the first pass after that build (cold: it decodes
+the classes of order ORDER) beside the median of the ten passes after it
+(warm: the classes are decoded, so only the searches remain).
 
 Routes.  Each row of ROUTES is timed as the fastest of five runs over a
 group of graphs already decoded, in us per graph, on each solve input's
@@ -31,8 +32,9 @@ decided graphs and on the classes of order ORDER at k = 2:
 - decide: `requirement_check`, over all graphs, then over those it rejects
   by degree (no search), rejects by value and accepts;
 - full: `exact_isolated_toughness_pair`: both parameters' values,
-  minimizers and witnesses from one search, as the survey and `exact` take
-  them;
+  minimizers and witnesses from one search, as `exact` takes them (the
+  survey runs the same search and reads its masks without building the
+  results);
 - value: `exact_variant_value`: I' alone, no minimizers, as certify, graph
   JSON and a solve generation with no passer take it;
 - screen: one pseudo-greedy screen, drawing from `random.Random(0)`;
@@ -50,6 +52,7 @@ import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -207,8 +210,21 @@ def census(order):
              (f"explore_minimizers({order})",
               lambda: explore_minimizers(order)))
     oracle._level.cache_clear()
-    first = fastest(lambda: nonisomorphic_graphs(order), repeats=1)
+    labelled = Counter()
+    label = oracle.canonical_code
+
+    def counted(g):
+        labelled[g.n] += 1
+        return label(g)
+
+    oracle.canonical_code = counted
+    try:
+        first = fastest(lambda: nonisomorphic_graphs(order), repeats=1)
+    finally:
+        oracle.canonical_code = label
     print(f"first class build at order {order}: {first:.3f} s")
+    print("  extensions labelled, by order: "
+          + ", ".join(f"{m}: {labelled[m]}" for m in range(2, order + 1)))
     passes = [[fastest(call, repeats=1) for _, call in steps]
               for _ in range(PASSES + 1)]
     print(f"census pass at order {order}, s: the first pass after the build"
