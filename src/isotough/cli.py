@@ -95,7 +95,6 @@ def _manifest(result: RunResult, summary: SolverReport) -> dict:
             "population_size": config.population_size,
             "generations": config.generations,
             "mutation_rate": config.mutation_rate,
-            "counterexample_fraction": config.counterexample_fraction,
             "seed": config.seed,
             "scope": list(result.scope),
             "exact_verify_limit": config.exact_verify_limit,
@@ -147,7 +146,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         population_size=args.population,
         generations=args.generations,
         mutation_rate=args.mutation_rate,
-        counterexample_fraction=args.counterexample_fraction,
         seed=args.seed, scope=scope,
         exact_verify_limit=args.exact_verify_limit)
     result = run_solver(config)
@@ -346,8 +344,6 @@ def build_parser() -> _Parser:
                        default=SolverConfig.generations)
     solve.add_argument("--mutation-rate", type=float,
                        default=SolverConfig.mutation_rate)
-    solve.add_argument("--counterexample-fraction", type=float,
-                       default=SolverConfig.counterexample_fraction)
     solve.add_argument("--seed", type=int, default=SolverConfig.seed)
     solve.add_argument("--scope", type=int, nargs=2, metavar=("LO", "HI"))
     solve.add_argument("--exact-verify-limit", type=int,

@@ -2,8 +2,8 @@
 
 
 class CapacityError(Exception):
-    """An input past a work limit: the exact engine's node budget, an
-    enumeration above order 9, refused unbuilt, or Graph's maximum order."""
+    """An input past a work limit: the exact engine's node budget, a
+    class build above order 9, refused unbuilt, or Graph's maximum order."""
 
 
 class InputError(ValueError):

@@ -58,7 +58,6 @@ class SolverConfig:
     population_size: int = 10
     generations: int = 100
     mutation_rate: float = 0.3
-    counterexample_fraction: float = 0.5
     seed: int = DEFAULT_SEED
     scope: Optional[tuple[int, int]] = None
     exact_verify_limit: int = DEFAULT_EXACT_LIMIT
@@ -74,8 +73,6 @@ class SolverConfig:
             raise InputError("need at least one generation")
         if not 0.0 < self.mutation_rate < 1.0:
             raise InputError("mutation rate must lie in (0, 1)")
-        if not 0.0 < self.counterexample_fraction < 1.0:
-            raise InputError("counterexample fraction must lie in (0, 1)")
         if self.seed < 0:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.exact_verify_limit < 0:
@@ -174,15 +171,12 @@ def counterexample_parameter(n: int, k: int) -> Optional[int]:
 
 
 def initial_population(config: SolverConfig) -> list[Graph]:
-    """Mutated boundary-family seeds when the order admits them, random
-    Bernoulli(1/2) encodings for the remainder."""
+    """Mutated boundary-family seeds for the first half when the order
+    admits them, random Bernoulli(1/2) encodings for the remainder."""
     length = pair_count(config.n)
     t = counterexample_parameter(config.n, config.k)
-    seeded = 0
-    base: Optional[Graph] = None
-    if t is not None:
-        base = counterexample_family(config.k, t)
-        seeded = int(config.counterexample_fraction * config.population_size)
+    base = None if t is None else counterexample_family(config.k, t)
+    seeded = config.population_size // 2
     population = []
     for index in range(config.population_size):
         rng = _stream(config.seed, _PHASE_INIT, 0, index)

@@ -437,7 +437,7 @@ def graph_from_json(source: Union[str, dict]) -> Graph:
         bits = data["bits"]
     except KeyError as exc:
         raise GraphParseError(f"missing field {exc.args[0]!r}") from exc
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise GraphParseError("field 'n' must be an integer")
     if not isinstance(bits, str):
         raise GraphParseError("field 'bits' must be a string")

@@ -28,13 +28,14 @@ another k, neither rebuilds nor decodes a class and pays only for its
 searches.  The graphs stay in memory once built, about 0.5 KB each
 decoded (274 668 at order 9).  Order m tries at most
 |classes(m-1)| * 2^(m-1) masks; at m = 10 the twin orbits still leave
-120 417 020, hours of work: hence ENUMERATION_LIMIT.
+120 417 020, hours of work: hence ENUMERATION_LIMIT, which
+nonisomorphic_graphs enforces for every caller before any class is built.
 
-explore_minimizers exhaustively compares the minimizer sets of the plain
-and variant parameters, both from one exact search per graph, over all
-isomorphism classes up to order 7 (random sampling beyond, which needs
-samples >= 1), checking that minimizers of different cardinality always
-order the same way in both size and isolated count.  It reads the
+explore_minimizers compares the minimizer sets of the plain and variant
+parameters, both from one exact search per graph, over all isomorphism
+classes up to ENUMERATION_LIMIT (uniform random encodings beyond, which
+needs samples >= 1), checking that minimizers of different cardinality
+always order the same way in both size and isolated count.  It reads the
 engine's neighbourhood masks and sizes directly and turns a mask into
 vertices only for a pair it records.  pairs_checked counts every pair,
 plain times variant minimizers per graph, but only the pairs of
@@ -53,15 +54,13 @@ from typing import Optional
 
 from .canonical import canonical_code
 from .errors import CapacityError, InputError
-from .evolve import DEFAULT_SEED, SolverConfig, _bernoulli_mask, report, \
-    run_solver
+from .evolve import DEFAULT_SEED, SolverConfig, report, run_solver
 from .factors import check_scope, delta_scope, requirement_check
-from .graphs import Graph, pair_count, set_bits
+from .graphs import Graph, MAX_ORDER, pair_count, set_bits
 from .rational import Ratio
 from .toughness import _independent_set_search
 
 ENUMERATION_LIMIT = 9
-EXHAUSTIVE_SURVEY_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,6 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
         raise InputError("enumeration needs order n >= 2")
     if k < 2:
         raise InputError("capacity k must be at least 2")
-    if n > ENUMERATION_LIMIT:
-        raise CapacityError(
-            f"enumeration stops at order {ENUMERATION_LIMIT}: building the "
-            f"isomorphism classes of order {n} takes hours")
     if scope is None:
         scope = delta_scope(n, k)
     else:
@@ -180,10 +175,15 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     minimum degree in the result, so only those extensions are labelled.
     Each level is built once per process, and every call hands out the
     same Graph objects, decoded at most once each; the returned list
-    itself is the caller's own.
+    itself is the caller's own.  Orders above ENUMERATION_LIMIT raise
+    CapacityError before any level is built.
     """
     if n < 1:
         raise ValueError("need order n >= 1")
+    if n > ENUMERATION_LIMIT:
+        raise CapacityError(
+            f"enumeration stops at order {ENUMERATION_LIMIT}: building the "
+            f"isomorphism classes of order {n} takes hours")
     return list(_level(n))
 
 
@@ -297,31 +297,34 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
                        seed: int = 0) -> MinimizerSurvey:
     """Cross-compare all minimizers of both parameters.
 
-    Exhaustive over isomorphism classes up to EXHAUSTIVE_SURVEY_LIMIT;
-    orders beyond are spot-checked on `samples` seeded random encodings
-    each, so there `samples` must be at least 1.
+    Exhaustive over isomorphism classes up to ENUMERATION_LIMIT, the
+    orders nonisomorphic_graphs builds; orders beyond, up to MAX_ORDER,
+    are spot-checked on `samples` seeded uniform random encodings each,
+    so there `samples` must be at least 1.
     """
     if n_max < 1:
         raise InputError("need n_max >= 1")
+    if n_max > MAX_ORDER:
+        raise CapacityError(
+            f"order {n_max} exceeds the supported maximum {MAX_ORDER}")
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
-    if n_max > EXHAUSTIVE_SURVEY_LIMIT and samples < 1:
+    if n_max > ENUMERATION_LIMIT and samples < 1:
         raise InputError(
-            f"orders above {EXHAUSTIVE_SURVEY_LIMIT} are sampled: "
+            f"orders above {ENUMERATION_LIMIT} are sampled: "
             "need samples >= 1")
     survey = MinimizerSurvey(n_max=n_max, graphs_checked=0, pairs_checked=0,
                              violations=[], differing_examples=[])
-    exhaustive_top = min(n_max, EXHAUSTIVE_SURVEY_LIMIT)
-    for n in range(1, exhaustive_top + 1):
+    for n in range(1, min(n_max, ENUMERATION_LIMIT) + 1):
         for g in nonisomorphic_graphs(n):
             _survey_graph(g, survey)
-    if n_max > EXHAUSTIVE_SURVEY_LIMIT:
+    if n_max > ENUMERATION_LIMIT:
         survey.sampled = True
         rng = random.Random(seed)
-        for n in range(EXHAUSTIVE_SURVEY_LIMIT + 1, n_max + 1):
+        for n in range(ENUMERATION_LIMIT + 1, n_max + 1):
             for _ in range(samples):
-                code = _bernoulli_mask(rng, pair_count(n), 0.5)
-                _survey_graph(Graph(n, code), survey)
+                _survey_graph(Graph(n, rng.getrandbits(pair_count(n))),
+                              survey)
     return survey
 
 

@@ -99,6 +99,26 @@ def test_graph_file_that_is_not_text_is_input_error(capsys, tmp_path):
     assert "graph JSON is not text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["exact"], ["certify", "--k", "2"]])
+def test_boolean_order_in_graph_json_is_input_error(command, capsys,
+                                                    monkeypatch):
+    feed(monkeypatch, '{"n": true, "bits": ""}')
+    assert main(command) == 1
+    assert "error: field 'n' must be an integer" in capsys.readouterr().err
+
+
+def test_explore_above_the_maximum_order_is_capacity_error(capsys,
+                                                           monkeypatch):
+    def unreachable(n):
+        raise AssertionError("the refusal must come before any work")
+
+    monkeypatch.setattr(oracle, "nonisomorphic_graphs", unreachable)
+    assert main(["explore", "--n-max", "65", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "capacity error" in captured.err
+    assert "graphs checked" not in captured.out
+
+
 def test_empty_scope_is_input_error(capsys):
     assert main(["scope", "--n", "4", "--k", "2"]) == 1
     assert "error" in capsys.readouterr().err
@@ -340,7 +360,7 @@ def test_explore_counts_graphs_with_differing_cardinality(capsys):
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_explore_rejects_unusable_sample_count(samples, capsys):
-    assert main(["explore", "--n-max", "8", "--samples", samples]) == 1
+    assert main(["explore", "--n-max", "10", "--samples", samples]) == 1
     captured = capsys.readouterr()
     assert "samples" in captured.err
     assert "graphs checked" not in captured.out
@@ -396,7 +416,7 @@ def test_solve_defaults_are_the_solver_defaults():
     assert args.population == config.population_size
     assert args.generations == config.generations
     assert args.mutation_rate == config.mutation_rate
-    assert args.counterexample_fraction == config.counterexample_fraction
+    assert not hasattr(args, "counterexample_fraction")
     assert args.seed == config.seed
     assert args.scope is None and config.scope is None
     assert args.exact_verify_limit == config.exact_verify_limit \
@@ -475,7 +495,7 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
 # Python.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "bc3f13214184c7ad980aff50e93134123e920dd1a839366a613892afbf26c204",
+        "7f183b7bd87edc4cd28499788aac14838eb3ca9a91c818b16cc47bb08dab8307",
     "selected-0.dot":
         "289a1758a661e1722fd8aadd8253cd0b4aeae43aabfb5959ee6e31c3cfe55e49",
     "selected-0.json":

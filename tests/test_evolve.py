@@ -35,8 +35,6 @@ def test_config_validation():
         SolverConfig(n=7, k=2, population_size=1)
     with pytest.raises(ValueError):
         SolverConfig(n=7, k=2, mutation_rate=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(n=7, k=2, counterexample_fraction=1.0)
 
 
 # ----- variation operators --------------------------------------------------
@@ -143,8 +141,7 @@ def test_initial_population_matches_per_bit_loop(n, k):
     # (7, 3) seeds half the population from counterexample_family(3, 0)
     config = SolverConfig(n=n, k=k, seed=8)
     t = counterexample_parameter(n, k)
-    seeded = int(config.counterexample_fraction * config.population_size) \
-        if t is not None else 0
+    seeded = config.population_size // 2 if t is not None else 0
     expected = []
     for index in range(config.population_size):
         # the stream of individual `index`: "seed:phase:generation:index"

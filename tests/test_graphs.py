@@ -348,6 +348,8 @@ def test_json_parse_errors():
         graph_from_json(json.dumps({"n": "3", "bits": "000"}))
     with pytest.raises(GraphParseError):
         graph_from_json(json.dumps({"n": 3, "bits": "0000"}))
+    with pytest.raises(GraphParseError, match="'n' must be an integer"):
+        graph_from_json(json.dumps({"n": True, "bits": ""}))
     with pytest.raises(GraphParseError):  # past int's digit limit
         graph_from_json('{"n": ' + "1" * 5000 + ', "bits": ""}')
     with pytest.raises(GraphParseError):  # past the recursion limit

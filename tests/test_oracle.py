@@ -53,6 +53,15 @@ def test_enumeration_order_eight():
             3: (Fraction(6), "1100001100001000011110110100")}
 
 
+def test_order_eight_survey_is_exhaustive():
+    # next to the order-8 enumeration, so it scores that build's classes
+    survey = explore_minimizers(8)
+    assert not survey.sampled
+    assert (survey.graphs_checked, survey.pairs_checked,
+            len(survey.differing_examples), len(survey.violations)) \
+        == (13590, 171529, 5033, 0)
+
+
 def test_enumeration_order_four_explicit_window():
     result = enumerate_exact(4, 2, scope=(2, 3))
     assert result.optima[2].value is None
@@ -151,6 +160,14 @@ def test_min_code_bound_only_cuts_the_search():
 
 
 # ----- isomorphism class generation -----------------------------------------
+
+def test_class_build_above_the_limit_builds_no_class():
+    # the class builder owns the order limit, so every caller stops there
+    oracle._level.cache_clear()
+    with pytest.raises(CapacityError, match="enumeration stops at order 9"):
+        nonisomorphic_graphs(oracle.ENUMERATION_LIMIT + 1)
+    assert oracle._level.cache_info().currsize == 0
+
 
 def test_nonisomorphic_counts_match_known_sequence():
     oracle._level.cache_clear()  # test generation, not a warmed cache
@@ -340,12 +357,13 @@ def test_order_seven_survey_contents():
         == "0669be538af79e84446d53cb536f1b52b50eed1e53a80a15b900630ecb0b7fdd"
 
 
-def test_survey_matches_a_scan_of_every_pair():
+def test_survey_matches_a_scan_of_every_pair(monkeypatch):
+    # with the limit at 7, order 8 is sampled without an order-9 build
+    monkeypatch.setattr(oracle, "ENUMERATION_LIMIT", 7)
     survey = explore_minimizers(8, samples=30, seed=5)
     rng = random.Random(5)
     graphs = [g for n in range(1, 8) for g in nonisomorphic_graphs(n)]
-    graphs += [Graph(8, oracle._bernoulli_mask(rng, pair_count(8), 0.5))
-               for _ in range(30)]
+    graphs += [Graph(8, rng.getrandbits(pair_count(8))) for _ in range(30)]
     expected = survey_by_every_pair(graphs)
     assert (survey.graphs_checked, survey.pairs_checked) \
         == (expected.graphs_checked, expected.pairs_checked)
@@ -374,7 +392,8 @@ def test_survey_records_violations_in_pair_order(monkeypatch):
     assert survey.pairs_checked == expected.pairs_checked
 
 
-def test_minimizer_survey_samples_beyond_exhaustive_range():
+def test_minimizer_survey_samples_beyond_exhaustive_range(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUMERATION_LIMIT", 7)
     survey = explore_minimizers(8, samples=5, seed=1)
     assert survey.sampled
     assert survey.violations == []
@@ -393,7 +412,7 @@ def test_minimizer_survey_needs_samples_beyond_exhaustive_range(
 
     monkeypatch.setattr(oracle, "nonisomorphic_graphs", unreachable)
     with pytest.raises(ValueError, match="samples"):
-        explore_minimizers(8, samples=samples)
+        explore_minimizers(10, samples=samples)
     # up to the exhaustive range the count is unused
     monkeypatch.undo()
     assert not explore_minimizers(4, samples=samples).sampled

@@ -16,7 +16,7 @@ each one the search keys.
 
 Census.  The benchmark's census pass at ORDER (default 7, at most
 oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
-explore_minimizers(ORDER), which samples above order 7.  One first class
+explore_minimizers(ORDER), exhaustive at every such order.  One first class
 build from an empty cache is timed, and the extensions it labels are
 counted per order, one per call to canonical_code.  Then, per step and
 per pass, in seconds: the first pass after that build (cold: it decodes
