@@ -10,7 +10,9 @@ whatever the output directory.  Wall-clock timings therefore go to stdout
 only, never into files; the manifest keeps a null timings slot.
 
 `solve` renders every result file's text first, then writes each file as
-that text.  The JSON files are indent-2 text from graphs.json_text: the
+that text, after removing any selected-<rank> file of an earlier run that
+it does not write, so its directory ends holding exactly this run's
+files.  The JSON files are indent-2 text from graphs.json_text: the
 manifest, one dict with sorted keys that records each fact once, and the
 selected graphs in graph_to_json's key order.  The argument parser is
 built once per process and reused by every main call.
@@ -22,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -153,6 +156,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     files = _result_files(result, summary)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("selected-*"):
+        if stale.name not in files \
+                and re.fullmatch(r"selected-[0-9]+\.(json|dot)", stale.name):
+            stale.unlink()
     for name, text in files.items():
         (out / name).write_text(text, newline="")
 
@@ -279,7 +286,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     print(f"graphs checked: {survey.graphs_checked}")
     print(f"minimizer pairs checked: {survey.pairs_checked}")
     print("graphs with differing-cardinality minimizers:"
-          f" {len(survey.differing_examples)}")
+          f" {survey.differing}")
     print(f"{len(survey.violations)} violations")
     for entry in survey.violations:
         print(f"  n={entry.graph.n} bits={entry.graph.bits()}"

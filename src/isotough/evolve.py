@@ -40,8 +40,8 @@ from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError, InputError
 from .factors import check_scope, delta_scope, require_factor, \
     requirement_check
-from .graphs import Graph, complete, counterexample_family, hamming_distance, \
-    pair_count
+from .graphs import Graph, _check_order, complete, counterexample_family, \
+    hamming_distance, pair_count
 from .rational import Ratio
 from .toughness import DEFAULT_EXACT_LIMIT, \
     exact_variant_value, pseudo_greedy_estimate
@@ -65,6 +65,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 4:
             raise InputError("solver needs order n >= 4")
+        _check_order(self.n)
         if self.k < 2:
             raise InputError("capacity k must be at least 2")
         if self.population_size < 2:

@@ -36,6 +36,14 @@ MAX_ORDER = 64
 VertexSetLike = Union[int, Iterable[int]]
 
 
+def _check_order(n: int) -> None:
+    """CapacityError for an order above MAX_ORDER, so a caller can refuse
+    before any work that grows with the order."""
+    if n > MAX_ORDER:
+        raise CapacityError(
+            f"order {n} exceeds the supported maximum {MAX_ORDER}")
+
+
 def pair_count(n: int) -> int:
     """Number of encoded bits for order n."""
     return n * (n - 1) // 2
@@ -161,9 +169,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise InputError(f"order must be non-negative, got {self.n}")
-        if self.n > MAX_ORDER:
-            raise CapacityError(
-                f"order {self.n} exceeds the supported maximum {MAX_ORDER}")
+        _check_order(self.n)
         if not 0 <= self.code < 1 << pair_count(self.n):
             raise ValueError("encoded bits do not fit the given order")
 
@@ -233,6 +239,7 @@ def from_bits(n: int, bits: Union[str, Sequence[int]]) -> Graph:
     if len(bits) != pair_count(n):
         raise GraphParseError(
             f"expected {pair_count(n)} bits for order {n}, got {len(bits)}")
+    _check_order(n)
     code = 0
     for position, bit in enumerate(bits):
         if isinstance(bit, str):
@@ -246,6 +253,7 @@ def from_bits(n: int, bits: Union[str, Sequence[int]]) -> Graph:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    _check_order(n)
     code = 0
     for u, v in edges:
         code |= 1 << edge_index(u, v, n)
@@ -293,6 +301,7 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # ----- named families -------------------------------------------------------
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     return Graph(n, (1 << pair_count(n)) - 1)
 
 
@@ -304,6 +313,7 @@ def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
     if n < 1:
         raise InputError("star needs at least one vertex")
+    _check_order(n)
     return from_edges(n, [(0, v) for v in range(1, n)])
 
 
@@ -311,6 +321,7 @@ def disjoint_cliques(m: int, k: int) -> Graph:
     """m disjoint copies of K_k."""
     if m < 1 or k < 1:
         raise InputError("need m >= 1 and k >= 1")
+    _check_order(m * k)
     edges = []
     for block in range(m):
         base = block * k

@@ -10,15 +10,16 @@ clears the bound, and as witness the smallest labelled encoding over
 every relabeling of the classes that reach it.  That witness is the minimum
 over all n! relabelings, not canonical_code's class invariant; a small
 search finds it by handing out labels from n-1 down, since each label
-fixes the next-highest row of the encoding.
+fixes the next-highest row of the encoding, and tries one tied
+candidate per class of twins.
 
 nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
 with minimum degree, and keeps one canonical code per class.  Deleting a
 minimum-degree vertex of any graph leaves a class of the order below, so
-no class is lost.  Swapping two twins of the parent (vertices with
-equal open or equal closed neighbourhoods) is an automorphism, so the
-extension masks are tried one per orbit of those swaps: 1808
+no class is lost.  Swapping two twins of the parent is an automorphism,
+so the extension masks are tried one per orbit of those swaps (the
+witness search and the class build read one twin rule, _twin_groups): 1808
 canonical_code calls at order 7 where every admissible mask took 2690,
 and 22 194 against 29 755 at order 8.  Each level's graphs,
 sorted by code, are built once per process and shared: Graph is
@@ -36,10 +37,10 @@ parameters, both from one exact search per graph, over all isomorphism
 classes up to ENUMERATION_LIMIT (uniform random encodings beyond, which
 needs samples >= 1), checking that minimizers of different cardinality
 always order the same way in both size and isolated count.  It reads the
-engine's neighbourhood masks and sizes directly and turns a mask into
-vertices only for a pair it records.  pairs_checked counts every pair,
-plain times variant minimizers per graph, but only the pairs of
-different sizes are visited, in the order of the full product.
+engine's neighbourhood masks and sizes directly and visits only the
+pairs of different sizes, in full-product order: it turns masks into
+vertices for a violation and counts the graphs with any other such pair.
+pairs_checked counts every pair, plain times variant minimizers per graph.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .canonical import canonical_code
 from .errors import CapacityError, InputError
 from .evolve import DEFAULT_SEED, SolverConfig, report, run_solver
 from .factors import check_scope, delta_scope, requirement_check
-from .graphs import Graph, MAX_ORDER, pair_count, set_bits
+from .graphs import Graph, _check_order, pair_count, set_bits
 from .rational import Ratio
 from .toughness import _independent_set_search
 
@@ -87,13 +88,15 @@ def _min_code(g: Graph, best: Optional[int] = None) -> int:
     Labels go out from n-1 down.  Handing out label a fixes the pairs
     (a, b), b > a, which are the highest bits not yet fixed, so a child
     must give a its smallest possible row; a branch stops once its fixed
-    bits exceed the best code.  Of two tied candidates that are twins,
-    only the first is tried: swapping them is an automorphism.  Passing
-    the best code of earlier graphs of the same order as `best` cuts
-    this graph's search from its start.
+    bits exceed the best code.  Of the tied candidates in one class of
+    _twin_groups, only the first is tried: swapping two twins is an
+    automorphism.  Passing the best code of earlier graphs of the same
+    order as `best` cuts this graph's search from its start.
     """
     n = g.n
     adj = g.adjacency
+    # the first vertex of each twin class, for every vertex that has twins
+    twin = {u: group[0] for group in _twin_groups(g) for u in group}
 
     def search(a: int, rows: dict[int, int], code: int) -> None:
         nonlocal best
@@ -106,12 +109,11 @@ def _min_code(g: Graph, best: Optional[int] = None) -> int:
         code |= low >> (a + 1) << start
         if best is not None and code >> start > best >> start:
             return
-        tried: list[int] = []
+        tried: set[int] = set()
         for v, row in rows.items():
-            if row != low or any((adj[u] & ~(1 << v)) == (adj[v] & ~(1 << u))
-                                 for u in tried):
+            if row != low or twin.get(v, v) in tried:
                 continue
-            tried.append(v)
+            tried.add(twin.get(v, v))
             search(a - 1, {u: r | (adj[v] >> u & 1) << a
                            for u, r in rows.items() if u != v}, code)
 
@@ -187,30 +189,34 @@ def nonisomorphic_graphs(n: int) -> list[Graph]:
     return list(_level(n))
 
 
-def _twin_orbit_masks(parent: Graph) -> list[int]:
-    """One neighbourhood mask per orbit of the parent's twin swaps.
-
-    Twins have equal open or equal closed neighbourhoods, so swapping two
-    is an automorphism, and a vertex has twins of one kind at most.  Any
-    permutation of a twin class fixes the parent, so a mask's orbit is
-    fixed by how many of each class it takes: here always a prefix of the
-    class, ascending, with every vertex outside the classes free.  That
-    makes prod(|C| + 1) * 2^(free vertices) masks.
-    """
+def _twin_groups(g: Graph) -> list[list[int]]:
+    """The classes of two or more twins of g, each ascending: vertices
+    with equal open or equal closed neighbourhoods, so swapping two is an
+    automorphism.  No two classes meet: open twins v and u with a closed
+    twin w of u give w in N(v), v in N[w] = N[u], so v adjacent to u."""
     # keyed by N(u) and by N[u] = N(u) + u: no open neighbourhood equals
     # a closed one, since v in N(u) = N[v] would put u in N[v] = N(u)
     twins: dict[int, list[int]] = {}
-    for u, row in enumerate(parent.adjacency):
+    for u, row in enumerate(g.adjacency):
         twins.setdefault(row, []).append(u)
         twins.setdefault(row | 1 << u, []).append(u)
+    return [group for group in twins.values() if len(group) > 1]
+
+
+def _twin_orbit_masks(parent: Graph) -> list[int]:
+    """One neighbourhood mask per orbit of the parent's twin swaps.
+
+    Any permutation of a class of _twin_groups fixes the parent, so a
+    mask's orbit is fixed by how many of each class it takes: here always
+    a prefix of the class, ascending, with every vertex outside the
+    classes free.  That makes prod(|C| + 1) * 2^(free vertices) masks.
+    """
     masks = [0]
     free = (1 << parent.n) - 1
-    for group in twins.values():
-        if len(group) > 1:
-            prefixes = itertools.accumulate((1 << u for u in group),
-                                            initial=0)
-            masks = [mask | prefix for prefix in prefixes for mask in masks]
-            free &= ~sum(1 << u for u in group)
+    for group in _twin_groups(parent):
+        prefixes = itertools.accumulate((1 << u for u in group), initial=0)
+        masks = [mask | prefix for prefix in prefixes for mask in masks]
+        free &= ~sum(1 << u for u in group)
     for u in set_bits(free):
         masks += [mask | 1 << u for mask in masks]
     return masks
@@ -260,7 +266,7 @@ class MinimizerSurvey:
     graphs_checked: int
     pairs_checked: int
     violations: list[MinimizerViolation]
-    differing_examples: list[MinimizerViolation]
+    differing: int                # graphs with minimizers of unequal size
     sampled: bool = False
 
 
@@ -274,23 +280,17 @@ def _survey_graph(g: Graph, survey: MinimizerSurvey) -> None:
     survey.pairs_checked += len(plain) * len(variant)
     variants = [(mask, mask.bit_count(), iso)
                 for mask, iso in sorted(variant.items())]
-    cross: dict[int, list] = {}  # plain size -> variant triples of other sizes
-    recorded = False
+    differs = False
     for s_plain, iso_plain in sorted(plain.items()):
         size = s_plain.bit_count()
-        if size not in cross:
-            cross[size] = [triple for triple in variants if triple[1] != size]
-        for s_variant, variant_size, iso_variant in cross[size]:
+        for s_variant, variant_size, iso_variant in variants:
             if variant_size > size and iso_variant > iso_plain:
-                if recorded:
-                    continue
-                recorded = True
-                found = survey.differing_examples
-            else:
-                found = survey.violations
-            found.append(MinimizerViolation(g, set_bits(s_plain),
-                                            set_bits(s_variant),
-                                            iso_plain, iso_variant))
+                differs = True
+            elif variant_size != size:
+                survey.violations.append(MinimizerViolation(
+                    g, set_bits(s_plain), set_bits(s_variant),
+                    iso_plain, iso_variant))
+    survey.differing += differs
 
 
 def explore_minimizers(n_max: int, *, samples: int = 200,
@@ -304,9 +304,7 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
     """
     if n_max < 1:
         raise InputError("need n_max >= 1")
-    if n_max > MAX_ORDER:
-        raise CapacityError(
-            f"order {n_max} exceeds the supported maximum {MAX_ORDER}")
+    _check_order(n_max)
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     if n_max > ENUMERATION_LIMIT and samples < 1:
@@ -314,7 +312,7 @@ def explore_minimizers(n_max: int, *, samples: int = 200,
             f"orders above {ENUMERATION_LIMIT} are sampled: "
             "need samples >= 1")
     survey = MinimizerSurvey(n_max=n_max, graphs_checked=0, pairs_checked=0,
-                             violations=[], differing_examples=[])
+                             violations=[], differing=0)
     for n in range(1, min(n_max, ENUMERATION_LIMIT) + 1):
         for g in nonisomorphic_graphs(n):
             _survey_graph(g, survey)

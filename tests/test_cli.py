@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import isotough
-from isotough import cli, oracle
+from isotough import cli, evolve, oracle
 from isotough.cli import build_parser, main
 from isotough.evolve import DEFAULT_SEED, SolverConfig
 from isotough.factors import delta_scope
@@ -117,6 +117,20 @@ def test_explore_above_the_maximum_order_is_capacity_error(capsys,
     captured = capsys.readouterr()
     assert "capacity error" in captured.err
     assert "graphs checked" not in captured.out
+
+
+def test_solve_refuses_a_large_order_before_any_work(capsys, monkeypatch,
+                                                    tmp_path):
+    # a random member of order 3000 would take minutes to draw
+    def unreachable(rng, length, rate):
+        raise AssertionError("the refusal must come before any draw")
+
+    monkeypatch.setattr(evolve, "_bernoulli_mask", unreachable)
+    out = tmp_path / "huge"
+    assert main(["solve", "--n", "3000", "--k", "2", "--out", str(out)]) == 2
+    assert "capacity error: order 3000 exceeds the supported maximum 64" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_scope_is_input_error(capsys):
@@ -486,6 +500,31 @@ def test_solve_reruns_are_byte_identical(capsys, tmp_path):
         reference = (first / name).read_bytes()
         assert (second / name).read_bytes() == reference
         assert (third / name).read_bytes() == reference
+
+
+def test_solve_into_a_used_directory_leaves_only_its_own_files(
+        capsys, tmp_path):
+    # the first run selects 10 graphs, the second 2: selected-2..9 of the
+    # first run must not outlive it, and no other file is touched
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    second = ["solve", "--n", "7", "--k", "2", "--seed", "1",
+              "--generations", "3"]
+    assert main(["solve", "--n", "12", "--k", "3", "--seed", "42",
+                 "--out", str(reused)]) == 0
+    (reused / "notes.txt").write_text("kept")
+    (reused / "selected-x.json").write_text("kept")
+    assert main(second + ["--out", str(reused)]) == 0
+    assert main(second + ["--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert (reused / "notes.txt").read_text() == "kept"
+    assert (reused / "selected-x.json").read_text() == "kept"
+    (reused / "notes.txt").unlink()
+    (reused / "selected-x.json").unlink()
+    names = sorted(p.name for p in fresh.iterdir())
+    assert "selected-1.json" in names and "selected-2.json" not in names
+    assert sorted(p.name for p in reused.iterdir()) == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
 
 
 # sha256 of every file `solve --n 12 --k 3 --seed 42` writes.  A screening,

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from isotough import graphs
 from isotough.errors import CapacityError, GraphParseError
 from isotough.graphs import (
     Graph,
@@ -92,6 +93,66 @@ def test_from_bits_validates():
 def test_order_cap_enforced():
     with pytest.raises(CapacityError):
         Graph(65, 0)
+
+
+def refuse_above_the_cap(function):
+    """`function`, failing the test when asked about an order above 64:
+    such an order must be refused before any work that grows with it."""
+    def guarded(*args):
+        if args[-1] > 64:
+            raise AssertionError("work done before the order check")
+        return function(*args)
+    return guarded
+
+
+class UnreadBits:
+    """A bit sequence of the right length that fails if it is read."""
+
+    def __init__(self, n):
+        self.length = pair_count(n)
+
+    def __len__(self):
+        return self.length
+
+    def __iter__(self):
+        raise AssertionError("bits read before the order check")
+
+
+MESSAGE = "order {} exceeds the supported maximum 64"
+
+
+def test_from_bits_refuses_a_large_order_before_reading_bits():
+    with pytest.raises(CapacityError, match=MESSAGE.format(100)):
+        from_bits(100, UnreadBits(100))
+    assert from_bits(4, "111000").n == 4
+
+
+def test_from_edges_refuses_a_large_order_before_any_edge(monkeypatch):
+    monkeypatch.setattr(graphs, "edge_index",
+                        refuse_above_the_cap(graphs.edge_index))
+    with pytest.raises(CapacityError, match=MESSAGE.format(100)):
+        from_edges(100, [(0, 1)])
+    assert from_edges(64, [(0, 63)]).has_edge(63, 0)
+
+
+def test_complete_refuses_a_large_order_before_any_shift(monkeypatch):
+    monkeypatch.setattr(graphs, "pair_count",
+                        refuse_above_the_cap(graphs.pair_count))
+    with pytest.raises(CapacityError, match=MESSAGE.format(100000)):
+        complete(100000)
+    assert complete(64).is_complete()
+
+
+def test_families_refuse_a_large_order_before_any_edge(monkeypatch):
+    # their edges are listed by range(order) or range(block); a block of
+    # 100 000 vertices would list five billion of them
+    monkeypatch.setattr(graphs, "range", refuse_above_the_cap(range),
+                        raising=False)
+    with pytest.raises(CapacityError, match=MESSAGE.format(100000)):
+        disjoint_cliques(1, 100000)
+    with pytest.raises(CapacityError, match=MESSAGE.format(100000)):
+        star(100000)
+    assert disjoint_cliques(8, 8).n == star(64).n == 64
 
 
 @given(random_graph_strategy())

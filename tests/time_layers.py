@@ -21,7 +21,9 @@ build from an empty cache is timed, and the extensions it labels are
 counted per order, one per call to canonical_code.  Then, per step and
 per pass, in seconds: the first pass after that build (cold: it decodes
 the classes of order ORDER) beside the median of the ten passes after it
-(warm: the classes are decoded, so only the searches remain).
+(warm: the classes are decoded, so only the searches remain).  Below each
+enumerate_exact step, a row gives the part of it spent in the min-code
+witness search over the tied classes (oracle._min_code).
 
 Routes.  Each row of ROUTES is timed as the fastest of five runs over a
 group of graphs already decoded, in us per graph, on each solve input's
@@ -225,13 +227,40 @@ def census(order):
     print(f"first class build at order {order}: {first:.3f} s")
     print("  extensions labelled, by order: "
           + ", ".join(f"{m}: {labelled[m]}" for m in range(2, order + 1)))
-    passes = [[fastest(call, repeats=1) for _, call in steps]
-              for _ in range(PASSES + 1)]
+    searching = 0.0
+    search = oracle._min_code
+
+    def timed_search(g, best=None):
+        nonlocal searching
+        started = time.perf_counter()
+        code = search(g, best)
+        searching += time.perf_counter() - started
+        return code
+
+    def timed(call):
+        """Seconds of one call, and of the witness search within it."""
+        nonlocal searching
+        searching = 0.0
+        return fastest(call, repeats=1), searching
+
+    oracle._min_code = timed_search
+    try:
+        passes = [[timed(call) for _, call in steps]
+                  for _ in range(PASSES + 1)]
+    finally:
+        oracle._min_code = search
     print(f"census pass at order {order}, s: the first pass after the build"
           f" (cold) and the median of the {PASSES} passes after it (warm)")
     print(f"  {'':<24} {'cold':>8} {'warm':>8}")
-    rows = [label for label, _ in steps] + ["pass"]
-    columns = [*zip(*passes), [sum(times) for times in passes]]
+    rows, columns = [], []
+    for index, (label, _) in enumerate(steps):
+        rows.append(label)
+        columns.append([times[index][0] for times in passes])
+        if label.startswith("enumerate_exact"):
+            rows.append("  witness search")
+            columns.append([times[index][1] for times in passes])
+    rows.append("pass")
+    columns.append([sum(step for step, _ in times) for times in passes])
     for label, (cold, *warm) in zip(rows, columns):
         print(f"  {label:<24} {cold:>8.4f} {statistics.median(warm):>8.4f}")
 
