@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import re
@@ -90,18 +91,9 @@ def _manifest(result: RunResult, summary: SolverReport) -> dict:
     A generation's harvest at degree d is the archive record with that
     generation and delta d; a selected graph's record is its own file.
     """
-    config = result.config
     return {
-        "config": {
-            "n": config.n,
-            "k": config.k,
-            "population_size": config.population_size,
-            "generations": config.generations,
-            "mutation_rate": config.mutation_rate,
-            "seed": config.seed,
-            "scope": list(result.scope),
-            "exact_verify_limit": config.exact_verify_limit,
-        },
+        "config": {**dataclasses.asdict(result.config),
+                   "scope": list(result.scope)},
         "generations": [
             {"accepted": {str(d): len(records)
                           for d, records in entry.buckets.items()},
@@ -203,6 +195,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+# family kind -> (builder, the (dest, flag) pairs of its arguments, in order)
+_FAMILIES = {
+    "complete": (complete, [("sites", "n")]),
+    "empty": (empty_graph, [("sites", "n")]),
+    "star": (star, [("sites", "n")]),
+    "cliques": (disjoint_cliques, [("copies", "m"), ("block", "b")]),
+    "clique-singles": (clique_join_singles, [("core", "c"), ("singles", "d")]),
+    "clique-blocks": (clique_join_blocks,
+                      [("core", "c"), ("copies", "m"), ("block", "b")]),
+    "extremal": (extremal_family, [("capacity", "k"), ("copies", "l")]),
+    "counterexample": (counterexample_family,
+                       [("capacity", "k"), ("surplus", "t")]),
+}
+
+
 def _require(args: argparse.Namespace, pairs: list[tuple[str, str]],
              kind: str) -> list:
     values = []
@@ -215,26 +222,8 @@ def _require(args: argparse.Namespace, pairs: list[tuple[str, str]],
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in ("complete", "empty", "star"):
-        (n,) = _require(args, [("sites", "n")], kind)
-        g = {"complete": complete, "empty": empty_graph, "star": star}[kind](n)
-    elif kind == "cliques":
-        m, b = _require(args, [("copies", "m"), ("block", "b")], kind)
-        g = disjoint_cliques(m, b)
-    elif kind == "clique-singles":
-        c, d = _require(args, [("core", "c"), ("singles", "d")], kind)
-        g = clique_join_singles(c, d)
-    elif kind == "clique-blocks":
-        c, m, b = _require(args, [("core", "c"), ("copies", "m"),
-                                  ("block", "b")], kind)
-        g = clique_join_blocks(c, m, b)
-    elif kind == "extremal":
-        k, m = _require(args, [("capacity", "k"), ("copies", "l")], kind)
-        g = extremal_family(k, m)
-    else:  # counterexample
-        k, t = _require(args, [("capacity", "k"), ("surplus", "t")], kind)
-        g = counterexample_family(k, t)
+    build, pairs = _FAMILIES[args.kind]
+    g = build(*_require(args, pairs, args.kind))
 
     text = graph_to_dot(g) if args.format == "dot" else graph_to_json_text(g)
     if args.out:
@@ -246,12 +235,15 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
     window = (args.lower, args.upper)
     if args.capacity is None and None in window:
         raise InputError("certify needs --k, or both --a and --b")
     if args.capacity is not None and window != (None, None):
         raise InputError("give either --k or the --a/--b window, not both")
+    if args.capacity is None and args.show_factor:
+        raise InputError("--show-factor needs --k: the --a/--b window"
+                         " prints no factor")
+    g = _load_graph(args)
 
     if args.capacity is None:
         spec = FactorSpec(args.lower, args.upper)
@@ -374,10 +366,7 @@ def build_parser() -> _Parser:
 
     family = commands.add_parser("family",
                                  help="emit a named closed-form family")
-    family.add_argument("kind", choices=("complete", "empty", "star",
-                                         "cliques", "clique-singles",
-                                         "clique-blocks", "extremal",
-                                         "counterexample"))
+    family.add_argument("kind", choices=tuple(_FAMILIES))
     family.add_argument("--n", "--sites", dest="sites", type=int,
                         help="order, for complete/empty/star")
     family.add_argument("--k", "--capacity", dest="capacity", type=int,

@@ -38,8 +38,8 @@ from typing import Callable, Optional, Sequence
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError, InputError
-from .factors import check_scope, delta_scope, require_factor, \
-    requirement_check
+from .factors import check_capacity, check_scope, delta_scope, \
+    require_factor, requirement_check
 from .graphs import Graph, _check_order, complete, counterexample_family, \
     hamming_distance, pair_count
 from .rational import Ratio
@@ -66,8 +66,7 @@ class SolverConfig:
         if self.n < 4:
             raise InputError("solver needs order n >= 4")
         _check_order(self.n)
-        if self.k < 2:
-            raise InputError("capacity k must be at least 2")
+        check_capacity(self.k)
         if self.population_size < 2:
             raise InputError("population size must be at least 2")
         if self.generations < 1:

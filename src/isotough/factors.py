@@ -162,14 +162,21 @@ def fractional_k_factor(g: Graph, k: int
             for u, v in g.edges()}
 
 
+def check_capacity(k: int) -> None:
+    """The one capacity rule of every requirement: k is at least 2."""
+    if k < 2:
+        raise InputError("capacity k must be at least 2")
+
+
 def delta_scope(n: int, k: int) -> tuple[int, int]:
     """Minimum-degree interval worth searching at order n for capacity k.
 
     Once the minimum degree reaches n/2 (and n >= 4k-5), a fractional
     k-factor is guaranteed outright, so the search tops out just below.
     """
-    if k < 1 or n < 1:
-        raise InputError("need n >= 1 and k >= 1")
+    check_capacity(k)
+    if n < 1:
+        raise InputError("need n >= 1")
     lo = k
     hi = (n + 1) // 2 - 1 if n >= 4 * k - 5 else n - 1
     if lo > hi:
@@ -232,8 +239,7 @@ def requirement_check(g: Graph, k: int, scope: tuple[int, int],
     rejects carries value None, not its I'.  Rejections without a value
     share one verdict per reason, k and delta.
     """
-    if k < 2:
-        raise InputError("capacity k must be at least 2")
+    check_capacity(k)
     delta = g.min_degree
     lo, hi = scope
     if delta < k or not lo <= delta <= hi:

@@ -7,11 +7,10 @@ its floor mode drops a class whose value does not clear the bound as
 soon as the search finds a ratio at or below it.  For each minimum
 degree in scope it keeps the lowest variant toughness that strictly
 clears the bound, and as witness the smallest labelled encoding over
-every relabeling of the classes that reach it.  That witness is the minimum
-over all n! relabelings, not canonical_code's class invariant; a small
-search finds it by handing out labels from n-1 down, since each label
-fixes the next-highest row of the encoding, and tries one tied
-candidate per class of twins.
+every relabeling of the classes that reach it: the least of the tied
+classes' minima over all n! relabelings (not canonical_code's invariant),
+each found once per process by a cached search that hands out labels
+from n-1 down, each fixing the next-highest row of the encoding.
 
 nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
@@ -56,7 +55,8 @@ from typing import Optional
 from .canonical import canonical_code
 from .errors import CapacityError, InputError
 from .evolve import DEFAULT_SEED, SolverConfig, report, run_solver
-from .factors import check_scope, delta_scope, requirement_check
+from .factors import check_capacity, check_scope, delta_scope, \
+    requirement_check
 from .graphs import Graph, _check_order, pair_count, set_bits
 from .rational import Ratio
 from .toughness import _independent_set_search
@@ -81,43 +81,47 @@ class EnumerationResult:
     elapsed_s: float
 
 
-def _min_code(g: Graph, best: Optional[int] = None) -> int:
-    """Smallest encoding over all relabelings of g, or `best` if that is
-    smaller: min(best, _min_code(g)), with None for no bound.
+@functools.cache
+def _min_code(g: Graph) -> int:
+    """Smallest encoding over all relabelings of g.
 
     Labels go out from n-1 down.  Handing out label a fixes the pairs
     (a, b), b > a, which are the highest bits not yet fixed, so a child
-    must give a its smallest possible row; a branch stops once its fixed
-    bits exceed the best code.  Of the tied candidates in one class of
-    _twin_groups, only the first is tried: swapping two twins is an
-    automorphism.  Passing the best code of earlier graphs of the same
-    order as `best` cuts this graph's search from its start.
+    must give a its smallest possible row: the unlabelled vertices sit in
+    cells of equal row, ascending, and labelling v splits each cell into
+    v's non-neighbours, then its neighbours, so the first cell holds the
+    candidates.  A branch stops once its fixed bits exceed the best code,
+    at first g's own.  Of tied twins (_twin_groups) only the first is
+    tried, as swapping two is an automorphism.  Cached per graph, so each
+    shared class graph is searched at most once per process.
     """
-    n = g.n
-    adj = g.adjacency
-    # the first vertex of each twin class, for every vertex that has twins
-    twin = {u: group[0] for group in _twin_groups(g) for u in group}
+    n, adj, best = g.n, g.adjacency, g.code
+    below = {u: sum(1 << w for w in group[:i])  # each vertex's lower twins
+             for group in _twin_groups(g) for i, u in enumerate(group)}
 
-    def search(a: int, rows: dict[int, int], code: int) -> None:
+    def search(a: int, cells: list[tuple[int, int]], code: int) -> None:
         nonlocal best
-        if a < 0:
-            if best is None or code < best:
-                best = code
-            return
-        low = min(rows.values())
+        first, low = cells[0]  # (vertices, their row)
         start = a * (n - 1) - a * (a - 1) // 2  # bit of the pair (a, a+1)
         code |= low >> (a + 1) << start
-        if best is not None and code >> start > best >> start:
+        if code >> start > best >> start:
             return
-        tried: set[int] = set()
-        for v, row in rows.items():
-            if row != low or twin.get(v, v) in tried:
+        if a == 0:
+            best = code
+            return
+        for v in set_bits(first):
+            if first & below.get(v, 0):
                 continue
-            tried.add(twin.get(v, v))
-            search(a - 1, {u: r | (adj[v] >> u & 1) << a
-                           for u, r in rows.items() if u != v}, code)
+            near, split = adj[v], []
+            for mask, row in cells:
+                mask &= ~(1 << v)
+                if mask & ~near:
+                    split.append((mask & ~near, row))
+                if mask & near:
+                    split.append((mask & near, row | 1 << a))
+            search(a - 1, split, code)
 
-    search(n - 1, dict.fromkeys(range(n), 0), 0)
+    search(n - 1, [((1 << n) - 1, 0)], 0)
     return best
 
 
@@ -132,8 +136,7 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
     """
     if n < 2:
         raise InputError("enumeration needs order n >= 2")
-    if k < 2:
-        raise InputError("capacity k must be at least 2")
+    check_capacity(k)
     if scope is None:
         scope = delta_scope(n, k)
     else:
@@ -158,10 +161,8 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
             optima[d] = DegreeOptimum(d, None, None)
             continue
         value, tied = best[d]
-        witness = None
-        for g in tied:  # one bound through every tied class
-            witness = _min_code(g, witness)
-        optima[d] = DegreeOptimum(d, value, Graph(n, witness))
+        witness = Graph(n, min(map(_min_code, tied)))
+        optima[d] = DegreeOptimum(d, value, witness)
     return EnumerationResult(n=n, k=k, scope=scope,
                              total_scanned=1 << pair_count(n), optima=optima,
                              elapsed_s=time.perf_counter() - started)

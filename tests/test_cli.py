@@ -139,6 +139,20 @@ def test_empty_scope_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["scope", "--n", "5"],
+    ["enumerate", "--n", "5"],
+    ["solve", "--n", "5", "--out", "unused"],
+    ["certify", "--bits", "1111111111", "--n", "5"],
+])
+def test_capacity_one_is_refused_by_every_command(argv, capsys):
+    # one capacity rule: scope used to print 1..2 and exit 0 at k = 1
+    assert main([*argv, "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: capacity k must be at least 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "6", "--k", "2", "--scope", "4", "2"],
     ["enumerate", "--n", "6", "--k", "2", "--scope", "1", "3"],
     ["certify", "--bits", "111111", "--n", "4", "--k", "2",
@@ -309,6 +323,17 @@ def test_certify_flag_conflicts(capsys, monkeypatch):
     assert main(["certify", "--k", "2", "--a", "1", "--b", "2"]) == 1
     feed(monkeypatch, graph_to_json_text(cycle(4)))
     assert main(["certify"]) == 1
+
+
+def test_certify_window_refuses_show_factor_before_any_work(capsys,
+                                                          monkeypatch):
+    # only the --k mode prints a factor; the refusal comes before the
+    # graph is read, so a broken graph goes unnoticed
+    feed(monkeypatch, "not a graph")
+    assert main(["certify", "--a", "1", "--b", "1", "--show-factor"]) == 1
+    captured = capsys.readouterr()
+    assert "error: --show-factor needs --k" in captured.err
+    assert captured.out == ""
 
 
 def test_certify_show_factor_weights_meet_capacity(capsys, monkeypatch):

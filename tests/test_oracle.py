@@ -149,13 +149,17 @@ def test_min_code_is_smallest_over_all_relabelings():
             assert _min_code(twin) == smallest, g.bits()
 
 
-def test_min_code_bound_only_cuts_the_search():
-    for n in range(1, 7):
-        for g in nonisomorphic_graphs(n):
-            own = _min_code(g)
-            assert _min_code(g, None) == own
-            for best in {own - 1, own, own + 1} - {-1}:
-                assert _min_code(g, best) == min(best, own), (g.bits(), best)
+def test_each_tied_class_is_searched_once_per_process():
+    # the witness is the least of the tied classes' cached minima, so a
+    # repeated enumeration, or another k, starts no new witness search
+    enumerate_exact(7, 2)
+    searched = _min_code.cache_info().misses
+    first = enumerate_exact(7, 2)
+    again = enumerate_exact(7, 3)
+    assert _min_code.cache_info().misses == searched
+    assert {d: o.witness.bits() for d, o in first.optima.items()} \
+        == {2: "100001000011110110100", 3: "111111100010001110100"}
+    assert again.optima[3].witness is None
 
 
 # ----- isomorphism class generation -----------------------------------------

@@ -23,7 +23,9 @@ per pass, in seconds: the first pass after that build (cold: it decodes
 the classes of order ORDER) beside the median of the ten passes after it
 (warm: the classes are decoded, so only the searches remain).  Below each
 enumerate_exact step, a row gives the part of it spent in the min-code
-witness search over the tied classes (oracle._min_code).
+witness search over the tied classes (oracle._min_code), whose cache is
+emptied with the class cache: cold is the first search of each tied
+class, warm only the lookups of the minima cached by then.
 
 Routes.  Each row of ROUTES is timed as the fastest of five runs over a
 group of graphs already decoded, in us per graph, on each solve input's
@@ -212,6 +214,7 @@ def census(order):
              (f"explore_minimizers({order})",
               lambda: explore_minimizers(order)))
     oracle._level.cache_clear()
+    oracle._min_code.cache_clear()
     labelled = Counter()
     label = oracle.canonical_code
 
@@ -230,10 +233,10 @@ def census(order):
     searching = 0.0
     search = oracle._min_code
 
-    def timed_search(g, best=None):
+    def timed_search(g):
         nonlocal searching
         started = time.perf_counter()
-        code = search(g, best)
+        code = search(g)
         searching += time.perf_counter() - started
         return code
 
