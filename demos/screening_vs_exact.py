@@ -27,7 +27,7 @@ for _ in range(samples):
     n = rng.randint(5, 10)
     g = Graph(n, rng.getrandbits(pair_count(n)))  # each pair with p = 1/2
 
-    estimate = pseudo_greedy_estimate(g, rng).estimate
+    estimate = pseudo_greedy_estimate(g, rng)
     exact = exact_variant_value(g)
 
     # the estimate is an upper bound by construction; anything else

@@ -26,10 +26,10 @@ from .graphs import Graph, clique_join_blocks, clique_join_singles, \
 from .oracle import BenchmarkReport, EnumerationResult, MinimizerSurvey, \
     benchmark, enumerate_exact, explore_minimizers, nonisomorphic_graphs
 from .rational import INFINITY, Ratio, format_ratio, parse_ratio
-from .toughness import PseudoGreedyTrace, ToughnessResult, \
-    exact_isolated_toughness, exact_isolated_toughness_pair, \
-    exact_isolated_toughness_variant, exact_variant_above, \
-    exact_variant_value, pseudo_greedy_estimate, roulette_select
+from .toughness import ToughnessResult, exact_isolated_toughness, \
+    exact_isolated_toughness_pair, exact_isolated_toughness_variant, \
+    exact_variant_above, exact_variant_value, pseudo_greedy_estimate, \
+    roulette_select
 
 __version__ = "0.1.0"
 
@@ -38,8 +38,8 @@ __all__ = [
     "ConsistencyError", "DiversitySelection", "EmptyArchiveError",
     "EnumerationResult", "FactorCertificate", "FactorSpec", "Graph",
     "GraphParseError", "INFINITY", "InputError", "MinimizerSurvey",
-    "PseudoGreedyTrace", "Ratio", "RequirementVerdict", "RunResult",
-    "ScopeError", "SolverConfig", "SolverReport", "ToughnessResult",
+    "Ratio", "RequirementVerdict", "RunResult", "ScopeError",
+    "SolverConfig", "SolverReport", "ToughnessResult",
     "are_isomorphic", "benchmark",
     "binary_mutation", "canonical_code", "canonical_form", "canonical_graph",
     "certify_requirement", "clique_join_blocks", "clique_join_singles",

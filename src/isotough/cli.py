@@ -42,7 +42,7 @@ from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     json_text, star
 from .oracle import benchmark, enumerate_exact, explore_minimizers
 from .rational import format_ratio
-from .toughness import exact_isolated_toughness_pair
+from .toughness import exact_isolated_toughness_pair, exact_variant_value
 
 _VERSION = "0.1.0"
 
@@ -61,10 +61,16 @@ def _add_graph_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    """The graph of --bits and --n, else of --json or stdin.  A source
+    flag that would go unread is refused before anything is read."""
     if args.bits is not None:
-        if getattr(args, "sites", None) is None:
+        if args.json is not None:
+            raise InputError("give either --bits or --json, not both")
+        if args.sites is None:
             raise GraphParseError("--bits needs --n for the order")
         return from_bits(args.sites, args.bits)
+    if args.sites is not None:
+        raise InputError("--n needs --bits: a JSON graph carries its order")
     try:
         if args.json is not None and args.json != "-":
             text = Path(args.json).read_text()
@@ -225,7 +231,16 @@ def _cmd_family(args: argparse.Namespace) -> int:
     build, pairs = _FAMILIES[args.kind]
     g = build(*_require(args, pairs, args.kind))
 
-    text = graph_to_dot(g) if args.format == "dot" else graph_to_json_text(g)
+    if args.format == "dot":
+        text = graph_to_dot(g)
+    else:  # I' is null at order 0 and when the search passes its budget
+        i_prime = None
+        if g.n:
+            try:
+                i_prime = format_ratio(exact_variant_value(g))
+            except CapacityError:
+                pass
+        text = graph_to_json_text(g, i_prime)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -243,6 +258,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.capacity is None and args.show_factor:
         raise InputError("--show-factor needs --k: the --a/--b window"
                          " prints no factor")
+    if args.capacity is None and args.scope:
+        raise InputError("--scope needs --k: the --a/--b window has no"
+                         " degree scope")
     g = _load_graph(args)
 
     if args.capacity is None:

@@ -194,7 +194,7 @@ def _screen(population: Sequence[Graph], config: SolverConfig,
     estimates = []
     for index, g in enumerate(population):
         rng = _stream(config.seed, _PHASE_EVAL, generation, index)
-        estimates.append(pseudo_greedy_estimate(g, rng).estimate)
+        estimates.append(pseudo_greedy_estimate(g, rng))
     return estimates
 
 

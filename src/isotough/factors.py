@@ -285,7 +285,9 @@ def certify_requirement(g: Graph, k: int,
 
     An accepted graph is guaranteed a fractional k-factor; if the flow
     checker disagrees the two routes are inconsistent and we fail loudly.
+    The capacity and scope rules refuse before any search.
     """
+    check_capacity(k)
     if scope is None:
         scope = (k, max(k, g.n - 1))
     else:

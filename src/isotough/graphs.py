@@ -363,16 +363,8 @@ def extremal_family(k: int, l: int) -> Graph:
 # ----- serialization --------------------------------------------------------
 
 def graph_to_json(g: Graph, i_prime: str | None = None) -> dict:
-    """JSON-ready dict; computes the variant toughness unless supplied,
-    and writes null for it at order 0 or when the exact engine's node
-    budget trips."""
-    from .rational import format_ratio
-    if i_prime is None and g.n:
-        from .toughness import exact_variant_value
-        try:
-            i_prime = format_ratio(exact_variant_value(g))
-        except CapacityError:
-            pass
+    """JSON-ready dict.  `i_prime` is written as given, a formatted ratio
+    from the caller, or null; serializing runs no search."""
     return {
         "n": g.n,
         "bits": g.bits(),

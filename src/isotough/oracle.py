@@ -56,7 +56,7 @@ from .canonical import canonical_code
 from .errors import CapacityError, InputError
 from .evolve import DEFAULT_SEED, SolverConfig, report, run_solver
 from .factors import check_capacity, check_scope, delta_scope, \
-    requirement_check
+    require_factor, requirement_check
 from .graphs import Graph, _check_order, pair_count, set_bits
 from .rational import Ratio
 from .toughness import _independent_set_search
@@ -131,7 +131,9 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
 
     Each optimum is the lowest variant toughness above the bound at that
     minimum degree, witnessed by the smallest encoding of order n that
-    attains it; `total_scanned` counts the labelled encodings covered.
+    attains it, whose fractional k-factor the flow search must build
+    (ConsistencyError otherwise); `total_scanned` counts the labelled
+    encodings covered.
     Orders above ENUMERATION_LIMIT raise CapacityError before any work.
     """
     if n < 2:
@@ -162,6 +164,7 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
             continue
         value, tied = best[d]
         witness = Graph(n, min(map(_min_code, tied)))
+        require_factor(witness, k, d, value)
         optima[d] = DegreeOptimum(d, value, witness)
     return EnumerationResult(n=n, k=k, scope=scope,
                              total_scanned=1 << pair_count(n), optima=optima,

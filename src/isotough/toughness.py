@@ -55,13 +55,13 @@ decides each cut at the cost of one comparison.
 
 The estimator walks two deletion tracks, one driven by a degree-roulette
 draw and one by the maximum degree, recording |deleted| / (isolated - 1)
-whenever a deletion leaves at least two isolated vertices.  Its result is
-always an upper bound on the exact variant value.  Each track keeps its
-isolated count and degree total up to date as it deletes, so a step walks
-only the deleted vertex's remaining neighbours; the picks are C-level
-max/index and accumulate/bisect calls over the degree list.  Only the
-best ratio, its deletion sequence and the reset count are kept, no
-per-step records.
+whenever a deletion leaves at least two isolated vertices.  It only
+screens, so its whole output is that best ratio, always an upper bound
+on the exact variant value; orders below 4 take the value from the floor
+search instead.  Each track keeps its isolated count and degree total up
+to date as it deletes, so a step walks only the deleted vertex's
+remaining neighbours; the picks are C-level max/index and
+accumulate/bisect calls over the degree list.
 """
 
 from __future__ import annotations
@@ -277,25 +277,15 @@ def roulette_select(degrees: Sequence[int], p: float) -> int:
     return bisect_left(cumulative, total)
 
 
-@dataclass(frozen=True)
-class PseudoGreedyTrace:
-    estimate: Ratio
-    deletion_sequence: tuple[int, ...]
-    resets: int = 0
-    delegated: bool = False
-
-
 class _Track:
     """One deletion track; `isolated` and `total` (the degree sum) are
     kept up to date by `delete`."""
 
-    __slots__ = ("remaining", "deg", "deleted", "adjacency", "isolated",
-                 "total")
+    __slots__ = ("remaining", "deg", "adjacency", "isolated", "total")
 
     def __init__(self, g: Graph):
         self.remaining = (1 << g.n) - 1
         self.deg = list(g.degrees)
-        self.deleted: list[int] = []
         self.adjacency = g.adjacency
         self.isolated = self.deg.count(0)
         self.total = sum(self.deg)
@@ -303,7 +293,6 @@ class _Track:
     def clone_from(self, other: "_Track") -> None:
         self.remaining = other.remaining
         self.deg = other.deg.copy()
-        self.deleted = other.deleted.copy()
         self.isolated = other.isolated
         self.total = other.total
 
@@ -323,7 +312,6 @@ class _Track:
         else:
             self.isolated -= 1
         self.remaining &= ~(1 << v)
-        self.deleted.append(v)
 
     def lowest_remaining(self) -> int:
         return (self.remaining & -self.remaining).bit_length() - 1
@@ -339,26 +327,21 @@ class _Track:
         return self.deg.index(top) if top else self.lowest_remaining()
 
 
-def pseudo_greedy_estimate(g: Graph, rng) -> PseudoGreedyTrace:
+def pseudo_greedy_estimate(g: Graph, rng) -> Ratio:
     """Two-track greedy upper bound for the variant toughness.
 
     One uniform draw is consumed per step while the roulette track still
     has an edge; with no edge left both tracks fall back to deleting the
-    lowest remaining index.  Orders below 4 delegate to the exact engine.
+    lowest remaining index.  Orders below 4 return the exact value from
+    the floor search and draw nothing.
     """
     n = g.n
     if n < 4:
-        exact = exact_isolated_toughness_variant(g)
-        witness = exact.minimizers[0] if exact.minimizers else ()
-        return PseudoGreedyTrace(estimate=exact.value,
-                                 deletion_sequence=witness,
-                                 delegated=True)
+        return exact_variant_value(g)
 
     track_r = _Track(g)
     track_m = _Track(g)
     best_num, best_den = -1, 0  # -1/0 stands for INFINITY
-    best_sequence: tuple[int, ...] = ()
-    resets = 0
 
     def better(step: int, iso: int) -> bool:
         # step/(iso-1) < best, with the empty best treated as infinite
@@ -373,17 +356,11 @@ def pseudo_greedy_estimate(g: Graph, rng) -> PseudoGreedyTrace:
         iso_r = track_r.isolated
         if iso_r >= 2 and better(step, iso_r):
             best_num, best_den = step, iso_r - 1
-            best_sequence = tuple(track_r.deleted)
         else:
-            resets += 1
             track_r.clone_from(track_m)
 
         iso_m = track_m.isolated
         if iso_m >= 2 and better(step, iso_m):
             best_num, best_den = step, iso_m - 1
-            best_sequence = tuple(track_m.deleted)
 
-    estimate: Ratio = INFINITY if best_num < 0 else Fraction(best_num,
-                                                             best_den)
-    return PseudoGreedyTrace(estimate=estimate,
-                             deletion_sequence=best_sequence, resets=resets)
+    return INFINITY if best_num < 0 else Fraction(best_num, best_den)

@@ -39,13 +39,11 @@ class _Track:
     def __init__(self, g: Graph):
         self.remaining = (1 << g.n) - 1
         self.deg = list(g.degrees)
-        self.deleted = []
         self.adjacency = g.adjacency
 
     def clone_from(self, other):
         self.remaining = other.remaining
         self.deg = list(other.deg)
-        self.deleted = list(other.deleted)
 
     def delete(self, v):
         mask = self.adjacency[v] & self.remaining
@@ -55,7 +53,6 @@ class _Track:
             mask ^= low
         self.remaining &= ~(1 << v)
         self.deg[v] = 0
-        self.deleted.append(v)
 
     def isolated(self):
         remaining = self.remaining
@@ -77,19 +74,15 @@ class _Track:
 
 
 def reference_estimate(g: Graph, rng):
-    """(estimate, deletion_sequence, resets, delegated), as the library
-    estimator must return them."""
+    """The estimate the library estimator must return; orders below 4
+    take the exact value."""
     n = g.n
     if n < 4:
-        exact = exact_isolated_toughness_variant(g)
-        witness = exact.minimizers[0] if exact.minimizers else ()
-        return exact.value, witness, 0, True
+        return exact_isolated_toughness_variant(g).value
 
     track_r = _Track(g)
     track_m = _Track(g)
     best = None
-    best_sequence = ()
-    resets = 0
     for step in range(1, n - 2):
         v_r = track_r.pick_roulette(rng)
         v_m = track_m.pick_max_degree()
@@ -99,12 +92,8 @@ def reference_estimate(g: Graph, rng):
         iso_m = track_m.isolated()
         if iso_r >= 2 and (best is None or Fraction(step, iso_r - 1) < best):
             best = Fraction(step, iso_r - 1)
-            best_sequence = tuple(track_r.deleted)
         else:
-            resets += 1
             track_r.clone_from(track_m)
         if iso_m >= 2 and (best is None or Fraction(step, iso_m - 1) < best):
             best = Fraction(step, iso_m - 1)
-            best_sequence = tuple(track_m.deleted)
-    estimate = INFINITY if best is None else best
-    return estimate, best_sequence, resets, False
+    return INFINITY if best is None else best

@@ -134,7 +134,7 @@ def test_criterion_5_estimator_never_undercuts_exact():
     for _ in range(1000):
         n = int(rng.integers(4, 13))
         g = random_graph(n, rng)
-        estimate = pseudo_greedy_estimate(g, rng).estimate
+        estimate = pseudo_greedy_estimate(g, rng)
         assert estimate >= exact_isolated_toughness_variant(g).value
 
 

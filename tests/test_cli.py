@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import isotough
-from isotough import cli, evolve, oracle
+from isotough import cli, evolve, factors, oracle
 from isotough.cli import build_parser, main
 from isotough.evolve import DEFAULT_SEED, SolverConfig
 from isotough.factors import delta_scope
@@ -23,8 +23,8 @@ from isotough.graphs import clique_join_blocks, clique_join_singles, \
     extremal_family, from_edges, graph_from_json, graph_to_json, \
     graph_to_json_text, star
 from isotough.oracle import benchmark
-from isotough.rational import parse_ratio
-from isotough.toughness import DEFAULT_EXACT_LIMIT
+from isotough.rational import format_ratio, parse_ratio
+from isotough.toughness import DEFAULT_EXACT_LIMIT, exact_variant_value
 
 
 def cycle(n):
@@ -92,6 +92,27 @@ def test_bits_without_order_is_input_error(capsys):
     assert main(["exact", "--bits", "111"]) == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["exact", "--bits", "x", "--n", "3", "--json", "-"], "--json"),
+    (["certify", "--k", "2", "--bits", "x", "--n", "3", "--json", "-"],
+     "--json"),
+    (["exact", "--json", "-", "--n", "5"], "--n"),
+    (["certify", "--k", "2", "--n", "5"], "--n"),
+    (["certify", "--a", "1", "--b", "2", "--scope", "2", "3"], "--scope"),
+])
+def test_unread_flag_is_input_error_before_the_graph_is_read(
+        argv, flag, capsys, monkeypatch):
+    # each flag used to be ignored with exit 0; the broken graph shows
+    # that the refusal comes first
+    feed(monkeypatch, "not a graph")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert flag in captured.err
+    assert "graph JSON" not in captured.err
+    assert captured.out == ""
+
+
 def test_graph_file_that_is_not_text_is_input_error(capsys, tmp_path):
     source = tmp_path / "graph.json"
     source.write_bytes(b"\xff\xfe{")
@@ -150,6 +171,19 @@ def test_capacity_one_is_refused_by_every_command(argv, capsys):
     captured = capsys.readouterr()
     assert "error: capacity k must be at least 2" in captured.err
     assert captured.out == ""
+
+
+def test_certify_refuses_capacity_one_before_any_search(capsys,
+                                                      monkeypatch):
+    # C40 passes the node budget: searching first used to exit 2
+    def unreachable(*args):
+        raise AssertionError("the capacity rule must come before a search")
+
+    monkeypatch.setattr(factors, "exact_variant_value", unreachable)
+    monkeypatch.setattr(factors, "exact_variant_above", unreachable)
+    feed(monkeypatch, graph_to_json_text(cycle(40)))
+    assert main(["certify", "--k", "1"]) == 1
+    assert "error: capacity k must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,14 +269,17 @@ def test_family_writes_file(capsys, tmp_path):
                                   ["star", "--n", "40"],
                                   ["cliques", "--m", "9", "--b", "3"],
                                   ["empty", "--n", "0"],
-                                  ["complete", "--n", "0"]])
+                                  ["complete", "--n", "0"],
+                                  ["cliques", "--m", "20", "--b", "2"]])
 def test_family_above_the_exact_order_gate(argv, capsys):
-    # above order 24 the engine answers unless its node budget trips;
-    # the order-0 graphs have no I', so theirs is written as null
+    # above order 24 the engine answers unless its node budget trips, as
+    # it does on the order-40 perfect matching; the order-0 graphs have
+    # no I': both are written as null
     assert main(["family", *argv]) == 0
     data = json.loads(capsys.readouterr().out)
-    expected = {"complete": "inf", "star": "1/38", "cliques": "9/4"}
-    assert data["i_prime"] == (expected[argv[0]] if argv[2] != "0" else None)
+    expected = {"complete --n 30": "inf", "star --n 40": "1/38",
+                "cliques --m 9 --b 3": "9/4"}
+    assert data["i_prime"] == expected.get(" ".join(argv))
 
 
 def test_family_writes_null_when_the_budget_trips(capsys, monkeypatch):
@@ -280,7 +317,8 @@ def test_family_json_is_the_indented_dump(argv, g, capsys):
     # the text writer must emit what json.dumps(indent=2) emits
     assert main(["family", *argv, "--format", "json"]) == 0
     text = capsys.readouterr().out
-    assert text == json.dumps(graph_to_json(g), indent=2) + "\n"
+    i_prime = format_ratio(exact_variant_value(g)) if g.n else None
+    assert text == json.dumps(graph_to_json(g, i_prime), indent=2) + "\n"
     if g.n == 0:
         assert '"i_prime": null' in text
 
@@ -361,6 +399,17 @@ def test_enumerate_order_six_output(capsys):
     assert "scanned 32768 encodings" in out
     assert "(2, 4/1) witness 100010001110100" in out
     assert "elapsed" in out
+
+
+def test_enumerate_checks_each_witness_by_flow(capsys, monkeypatch):
+    # a witness the flow search cannot certify is a consistency fault
+    monkeypatch.setattr(factors, "has_fractional_factor",
+                        lambda g, spec: False)
+    assert main(["enumerate", "--n", "6", "--k", "2"]) == 4
+    captured = capsys.readouterr()
+    assert "consistency error: accepted graph lacks a fractional factor" \
+        in captured.err
+    assert "witness" not in captured.out
 
 
 def test_enumerate_null_and_infinite_rows(capsys):
@@ -823,7 +872,7 @@ def test_parsed_state_stays_per_call(capsys, tmp_path):
     assert main(["family", "star", "--n", "4", "--format", "dot"]) == 0
     assert main(["family", "star", "--n", "4"]) == 0
     assert capsys.readouterr().out.split("}\n", 1)[1] \
-        == graph_to_json_text(star(4))
+        == graph_to_json_text(star(4), "1/2")
 
 
 # ----- runtime dependencies -------------------------------------------------

@@ -389,6 +389,17 @@ def test_json_schema_fields():
     }
 
 
+def test_json_writes_the_given_i_prime_and_runs_no_search(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("serializing must not search")
+
+    monkeypatch.setattr("isotough.toughness._independent_set_search",
+                        unreachable)
+    assert graph_to_json(star(5))["i_prime"] is None
+    assert '"i_prime": null' in graph_to_json_text(star(5))
+    assert graph_to_json(star(5), "1/3")["i_prime"] == "1/3"
+
+
 def test_empty_graph_serializes_with_no_edges():
     data = graph_to_json(empty_graph(3), i_prime="0/1")
     assert data["edges"] == []
