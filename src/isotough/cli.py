@@ -5,6 +5,11 @@ work budget or order limit), 3 empty result archive, 4 internal
 failures: a tripped consistency check, or a ValueError that is not an
 InputError.
 
+Each subcommand declares only the flags it reads, so argparse refuses
+any other (exit 1), bar a prefix of a declared one; `family` has one
+subparser per kind, which takes no prefixes.  `explore` refuses
+--samples and --seed through ENUMERATION_LIMIT, where it reads neither.
+
 All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
 only, never into files; the manifest keeps a null timings slot.
@@ -30,6 +35,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from . import __version__
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, InputError
 from .evolve import DEFAULT_SEED, CandidateRecord, RunResult, SolverConfig, \
@@ -40,11 +46,10 @@ from .graphs import Graph, clique_join_blocks, clique_join_singles, complete, \
     counterexample_family, disjoint_cliques, empty_graph, extremal_family, \
     from_bits, graph_from_json, graph_to_dot, graph_to_json_text, \
     json_text, star
-from .oracle import benchmark, enumerate_exact, explore_minimizers
+from .oracle import ENUMERATION_LIMIT, benchmark, enumerate_exact, \
+    explore_minimizers
 from .rational import format_ratio
 from .toughness import exact_isolated_toughness_pair, exact_variant_value
-
-_VERSION = "0.1.0"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bits", help="explicit 0/1 pair string")
+    parser.add_argument("--n", "--sites", dest="sites", type=int,
+                        help="order, required with --bits")
     parser.add_argument("--json", help="graph JSON file (default: stdin)")
 
 
@@ -149,11 +156,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         mutation_rate=args.mutation_rate,
         seed=args.seed, scope=scope,
         exact_verify_limit=args.exact_verify_limit)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails now
     result = run_solver(config)
     summary = report(result)
     files = _result_files(result, summary)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for stale in out.glob("selected-*"):
         if stale.name not in files \
                 and re.fullmatch(r"selected-[0-9]+\.(json|dot)", stale.name):
@@ -201,35 +208,33 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-# family kind -> (builder, the (dest, flag) pairs of its arguments, in order)
+# family kind -> (builder, the dests of its arguments, in order)
 _FAMILIES = {
-    "complete": (complete, [("sites", "n")]),
-    "empty": (empty_graph, [("sites", "n")]),
-    "star": (star, [("sites", "n")]),
-    "cliques": (disjoint_cliques, [("copies", "m"), ("block", "b")]),
-    "clique-singles": (clique_join_singles, [("core", "c"), ("singles", "d")]),
-    "clique-blocks": (clique_join_blocks,
-                      [("core", "c"), ("copies", "m"), ("block", "b")]),
-    "extremal": (extremal_family, [("capacity", "k"), ("copies", "l")]),
-    "counterexample": (counterexample_family,
-                       [("capacity", "k"), ("surplus", "t")]),
+    "complete": (complete, ("sites",)),
+    "empty": (empty_graph, ("sites",)),
+    "star": (star, ("sites",)),
+    "cliques": (disjoint_cliques, ("copies", "block")),
+    "clique-singles": (clique_join_singles, ("core", "singles")),
+    "clique-blocks": (clique_join_blocks, ("core", "copies", "block")),
+    "extremal": (extremal_family, ("capacity", "copies")),
+    "counterexample": (counterexample_family, ("capacity", "surplus")),
+}
+
+# family argument dest -> its flag names
+_FAMILY_FLAGS = {
+    "sites": ("--n", "--sites"),
+    "capacity": ("--k", "--capacity"),
+    "surplus": ("--t", "--surplus"),
+    "copies": ("--l", "--m", "--copies"),
+    "block": ("--b", "--block"),
+    "core": ("--c", "--core"),
+    "singles": ("--d", "--singles"),
 }
 
 
-def _require(args: argparse.Namespace, pairs: list[tuple[str, str]],
-             kind: str) -> list:
-    values = []
-    for attribute, flag in pairs:
-        value = getattr(args, attribute)
-        if value is None:
-            raise InputError(f"family kind {kind!r} needs --{flag}")
-        values.append(value)
-    return values
-
-
 def _cmd_family(args: argparse.Namespace) -> int:
-    build, pairs = _FAMILIES[args.kind]
-    g = build(*_require(args, pairs, args.kind))
+    build, dests = _FAMILIES[args.kind]
+    g = build(*(getattr(args, dest) for dest in dests))
 
     if args.format == "dot":
         text = graph_to_dot(g)
@@ -288,8 +293,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    survey = explore_minimizers(args.n_max, samples=args.samples,
-                                seed=args.seed)
+    given = {name: getattr(args, name) for name in ("samples", "seed")
+             if getattr(args, name) is not None}
+    if given and args.n_max <= ENUMERATION_LIMIT:
+        flags = " and ".join(f"--{name}" for name in given)
+        raise InputError(f"{flags}: read only when --n-max is above"
+                         f" {ENUMERATION_LIMIT}, where the survey samples")
+    survey = explore_minimizers(args.n_max, **given)
     mode = "sampled beyond exhaustive range" if survey.sampled \
         else "exhaustive"
     print(f"orders up to {survey.n_max} ({mode})")
@@ -336,12 +346,11 @@ def _cmd_scope(args: argparse.Namespace) -> int:
 
 # ----- parser wiring --------------------------------------------------------
 
-def _instance_flags(parser: argparse.ArgumentParser,
-                    required: bool = True) -> None:
+def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", "--sites", dest="sites", type=int,
-                        required=required, help="number of sites (order)")
+                        required=True, help="number of sites (order)")
     parser.add_argument("--k", "--capacity", dest="capacity", type=int,
-                        required=required, help="per-site capacity")
+                        required=True, help="per-site capacity")
 
 
 def build_parser() -> _Parser:
@@ -350,7 +359,7 @@ def build_parser() -> _Parser:
                                  " topologies meeting an isolated-toughness"
                                  " requirement.")
     parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_VERSION}")
+                        version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="run the evolutionary search")
@@ -372,8 +381,6 @@ def build_parser() -> _Parser:
     exact = commands.add_parser(
         "exact", help="exact parameters and minimizers of a single graph")
     _add_graph_source(exact)
-    exact.add_argument("--n", "--sites", dest="sites", type=int,
-                       help="order, required with --bits")
     exact.set_defaults(handler=_cmd_exact)
 
     enum = commands.add_parser("enumerate",
@@ -384,30 +391,21 @@ def build_parser() -> _Parser:
 
     family = commands.add_parser("family",
                                  help="emit a named closed-form family")
-    family.add_argument("kind", choices=tuple(_FAMILIES))
-    family.add_argument("--n", "--sites", dest="sites", type=int,
-                        help="order, for complete/empty/star")
-    family.add_argument("--k", "--capacity", dest="capacity", type=int,
-                        help="per-site capacity (clique block order)")
-    family.add_argument("--t", "--surplus", dest="surplus", type=int,
-                        help="degree surplus above the capacity")
-    family.add_argument("--l", "--m", "--copies", dest="copies", type=int,
-                        help="number of clique blocks")
-    family.add_argument("--b", "--block", dest="block", type=int,
-                        help="block order")
-    family.add_argument("--c", "--core", dest="core", type=int,
-                        help="joined clique order")
-    family.add_argument("--d", "--singles", dest="singles", type=int,
-                        help="number of isolated vertices joined")
-    family.add_argument("--format", choices=("json", "dot"), default="json")
-    family.add_argument("--out", help="write to a file instead of stdout")
+    kinds = family.add_subparsers(dest="kind", required=True)
+    for kind, (_, dests) in _FAMILIES.items():
+        # no prefix matching: cliques would read --c, clique-singles' flag,
+        # as --copies
+        each = kinds.add_parser(kind, allow_abbrev=False)
+        for dest in dests:
+            each.add_argument(*_FAMILY_FLAGS[dest], dest=dest, type=int,
+                              required=True)
+        each.add_argument("--format", choices=("json", "dot"), default="json")
+        each.add_argument("--out", help="write to a file instead of stdout")
     family.set_defaults(handler=_cmd_family)
 
     certify = commands.add_parser(
         "certify", help="exact requirement check plus factor cross-check")
     _add_graph_source(certify)
-    certify.add_argument("--n", "--sites", dest="sites", type=int,
-                         help="order, required with --bits")
     certify.add_argument("--k", "--capacity", dest="capacity", type=int,
                          help="per-site capacity")
     certify.add_argument("--a", dest="lower", type=int,
@@ -423,8 +421,8 @@ def build_parser() -> _Parser:
         "explore", help="survey minimizer cardinalities of both parameters")
     explore.add_argument("--n-max", "--max-order", dest="n_max", type=int,
                          default=7)
-    explore.add_argument("--samples", type=int, default=200)
-    explore.add_argument("--seed", type=int, default=0)
+    explore.add_argument("--samples", type=int)
+    explore.add_argument("--seed", type=int)
     explore.set_defaults(handler=_cmd_explore)
 
     bench = commands.add_parser(

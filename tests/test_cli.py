@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from isotough.graphs import clique_join_blocks, clique_join_singles, \
     complete, counterexample_family, disjoint_cliques, empty_graph, \
     extremal_family, from_edges, graph_from_json, graph_to_json, \
     graph_to_json_text, star
-from isotough.oracle import benchmark
+from isotough.oracle import MinimizerSurvey, benchmark
 from isotough.rational import format_ratio, parse_ratio
 from isotough.toughness import DEFAULT_EXACT_LIMIT, exact_variant_value
 
@@ -198,6 +199,26 @@ def test_explicit_scope_out_of_range_is_input_error(capsys, argv):
     assert "lo <= hi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_solve_refuses_an_unusable_out_before_the_search(under, capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+    # --out names a file, or a path under one: the search, seconds long
+    # at larger orders, must not run first
+    def unreachable(config):
+        raise AssertionError("the search ran before --out was made")
+
+    monkeypatch.setattr(cli, "run_solver", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    out = taken / "run" if under else taken
+    assert main(["solve", "--n", "16", "--k", "3", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert taken.read_text() == "kept"
+
+
 def test_solve_rejects_out_of_range_scope_before_searching(capsys, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--n", "7", "--k", "2", "--scope", "5", "2",
@@ -321,6 +342,91 @@ def test_family_json_is_the_indented_dump(argv, g, capsys):
     assert text == json.dumps(graph_to_json(g, i_prime), indent=2) + "\n"
     if g.n == 0:
         assert '"i_prime": null' in text
+
+
+# each family kind's flags in order: every name of each, and a small value
+FAMILY_FLAGS = {
+    "complete": [(("--n", "--sites"), 5)],
+    "empty": [(("--n", "--sites"), 4)],
+    "star": [(("--n", "--sites"), 6)],
+    "cliques": [(("--l", "--m", "--copies"), 3), (("--b", "--block"), 2)],
+    "clique-singles": [(("--c", "--core"), 2), (("--d", "--singles"), 3)],
+    "clique-blocks": [(("--c", "--core"), 1), (("--l", "--m", "--copies"), 2),
+                      (("--b", "--block"), 3)],
+    "extremal": [(("--k", "--capacity"), 2), (("--l", "--m", "--copies"), 3)],
+    "counterexample": [(("--k", "--capacity"), 2), (("--t", "--surplus"), 1)],
+}
+
+
+def family_argv(kind, names=None, skip=None):
+    """`family kind` with each flag under the given name (default: the
+    first), leaving out the flag at index skip."""
+    flags = FAMILY_FLAGS[kind]
+    names = names or [aliases[0] for aliases, _ in flags]
+    argv = ["family", kind]
+    for index, (name, (_, value)) in enumerate(zip(names, flags)):
+        if index != skip:
+            argv += [name, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("kind", FAMILY_FLAGS)
+def test_family_refuses_the_flags_of_other_kinds(kind, capsys):
+    # cliques against clique-singles' --c also checks that no kind reads
+    # a prefix: --c would be taken for --copies
+    read = {name for aliases, _ in FAMILY_FLAGS[kind] for name in aliases}
+    for other, flags in FAMILY_FLAGS.items():
+        foreign = [aliases[0] for aliases, _ in flags
+                   if aliases[0] not in read]
+        if other == kind or not foreign:
+            continue
+        assert main(family_argv(kind) + [foreign[0], "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {foreign[0]} 3" in captured.err
+
+
+@pytest.mark.parametrize("kind", FAMILY_FLAGS)
+def test_family_aliases_give_the_same_json(kind, capsys):
+    texts = set()
+    for names in itertools.product(
+            *(aliases for aliases, _ in FAMILY_FLAGS[kind])):
+        assert main(family_argv(kind, names)) == 0
+        texts.add(capsys.readouterr().out)
+    assert len(texts) == 1
+    graph_from_json(texts.pop())
+
+
+@pytest.mark.parametrize("kind", FAMILY_FLAGS)
+def test_family_names_each_missing_flag(kind, capsys):
+    for index, (aliases, _) in enumerate(FAMILY_FLAGS[kind]):
+        assert main(family_argv(kind, skip=index)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: " + "/".join(aliases) \
+            in captured.err
+
+
+def test_family_flag_before_the_kind_is_usage_error(capsys):
+    assert main(["family", "--n", "4", "star"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "7", "--k", "2", "--out", "unused", "--bits", "1"],
+    ["exact", "--bits", "111", "--n", "3", "--k", "2"],
+    ["enumerate", "--n", "6", "--k", "2", "--seed", "1"],
+    ["family", "star", "--n", "4", "--k", "3"],
+    ["certify", "--k", "2", "--bits", "111", "--n", "3", "--seed", "1"],
+    ["explore", "--n-max", "5", "--k", "2"],
+    ["benchmark", "--n", "6", "--k", "2", "--out", "unused"],
+    ["scope", "--n", "7", "--k", "2", "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_a_flag_it_does_not_read(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 # ----- certify --------------------------------------------------------------
@@ -454,16 +560,55 @@ def test_explore_rejects_unusable_sample_count(samples, capsys):
     assert "graphs checked" not in captured.out
 
 
+@pytest.mark.parametrize("flags", [["--samples", "3"], ["--seed", "9"],
+                                   ["--samples", "3", "--seed", "9"]])
+def test_explore_refuses_sampling_flags_where_it_is_exhaustive(
+        flags, capsys, monkeypatch):
+    # through order 9 the survey is exhaustive and reads neither flag
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the refusal must come before the survey")
+
+    monkeypatch.setattr(cli, "explore_minimizers", unreachable)
+    for n_max in ("1", "6", "9"):
+        assert main(["explore", "--n-max", n_max, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert all(flag in captured.err for flag in flags[::2])
+
+
+def test_explore_passes_only_the_flags_given(capsys, monkeypatch):
+    calls = []
+
+    def survey(n_max, **given):
+        calls.append((n_max, given))
+        return MinimizerSurvey(n_max, 0, 0, [], 0)
+
+    monkeypatch.setattr(cli, "explore_minimizers", survey)
+    for argv in (["--n-max", "6"], ["--n-max", "10", "--seed", "4"],
+                 ["--n-max", "11", "--samples", "2", "--seed", "0"]):
+        assert main(["explore", *argv]) == 0
+    assert calls == [(6, {}), (10, {"seed": 4}),
+                     (11, {"samples": 2, "seed": 0})]
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--n", "7", "--k", "2", "--seed", "-1"],
-    ["explore", "--n-max", "8", "--seed", "-3"]])
+    ["explore", "--n-max", "8", "--seed", "-3"],
+    ["explore", "--n-max", "10", "--samples", "1", "--seed", "-3"]])
 def test_negative_seed_is_input_error(argv, capsys, tmp_path):
+    # at order 8 the survey is exhaustive and reads no seed: that flag is
+    # refused before its value is looked at
     out = tmp_path / "run"
     if argv[0] == "solve":
         argv = argv + ["--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "seed must be non-negative" in captured.err
+    if argv[2] == "8":
+        assert "error: --seed: read only when --n-max is above 9" \
+            in captured.err
+    else:
+        assert "seed must be non-negative" in captured.err
     assert "graphs checked" not in captured.out
     assert not out.exists()
 
@@ -884,7 +1029,7 @@ import isotough
 from isotough.cli import main
 assert main(["solve", "--n", "7", "--k", "2", "--generations", "5",
              "--out", sys.argv[1]]) == 0
-assert main(["explore", "--n-max", "8", "--samples", "3"]) == 0
+assert main(["explore", "--n-max", "8"]) == 0
 assert main(["enumerate", "--n", "6", "--k", "2"]) == 0
 """
 
