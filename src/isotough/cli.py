@@ -6,9 +6,10 @@ failures: a tripped consistency check, or a ValueError that is not an
 InputError.
 
 Each subcommand declares only the flags it reads, so argparse refuses
-any other (exit 1), bar a prefix of a declared one; `family` has one
-subparser per kind, which takes no prefixes.  `explore` refuses
---samples and --seed through ENUMERATION_LIMIT, where it reads neither.
+any other (exit 1), and no parser takes a prefix of a flag: `explore
+--n` is not read as --n-max.  `family` has one subparser per kind.
+`explore` refuses --samples and --seed through ENUMERATION_LIMIT, where
+it reads neither.
 
 All file outputs are deterministic for identical flags, byte for byte,
 whatever the output directory.  Wall-clock timings therefore go to stdout
@@ -53,7 +54,11 @@ from .toughness import exact_isolated_toughness_pair, exact_variant_value
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with status 1."""
+    """argparse variant that takes no prefix of a flag and whose usage
+    errors exit with status 1; subparsers inherit both."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -393,9 +398,7 @@ def build_parser() -> _Parser:
                                  help="emit a named closed-form family")
     kinds = family.add_subparsers(dest="kind", required=True)
     for kind, (_, dests) in _FAMILIES.items():
-        # no prefix matching: cliques would read --c, clique-singles' flag,
-        # as --copies
-        each = kinds.add_parser(kind, allow_abbrev=False)
+        each = kinds.add_parser(kind)
         for dest in dests:
             each.add_argument(*_FAMILY_FLAGS[dest], dest=dest, type=int,
                               required=True)

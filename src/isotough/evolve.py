@@ -15,7 +15,11 @@ requirement_check and the elite both read.
 Up to the limit, accepted records are bucketed by minimum degree and
 each bucket's best moves into the archive, where the flow search
 certifies its fractional k-factor once more (a mismatch is a
-ConsistencyError); above the limit they go to the unverified list.  The
+ConsistencyError); above the limit they go to the unverified list.  A
+tie on value goes first to a graph the archive does not hold yet, then
+to the smallest bit string, so the harvest labels no graph canonically;
+only the diversity step does, and only for archived graphs whose sorted
+degree sequence another archived graph shares.  The
 next population comes from random non-self pairing, single-point
 crossover and per-bit mutation, with the elite surviving unchanged.
 
@@ -33,8 +37,9 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError, InputError
@@ -252,7 +257,6 @@ def run_solver(config: SolverConfig,
     decide = functools.cache(
         lambda g: requirement_check(g, config.k, scope))
     exact_value = functools.cache(exact_variant_value)
-    canonical_key = functools.cache(lambda g: canonical_form(g).key)
 
     verified = config.n <= config.exact_verify_limit
     for generation in range(config.generations):
@@ -280,8 +284,10 @@ def run_solver(config: SolverConfig,
             else:
                 unverified.append(record)
         for delta in sorted(buckets):
+            # ties go to a graph the archive lacks, then the smallest bits
             best = min(buckets[delta],
-                       key=lambda r: (r.value, canonical_key(r.graph)))
+                       key=lambda r: (r.value, r.graph.code in certified,
+                                      r.graph.bits()))
             if best.graph.code not in certified:
                 require_factor(best.graph, config.k, delta, best.value)
                 certified.add(best.graph.code)
@@ -296,8 +302,7 @@ def run_solver(config: SolverConfig,
 
     if archive:
         diversified = diversity_enhancement([r.graph for r in archive],
-                                            config.population_size,
-                                            key=canonical_key)
+                                            config.population_size)
     else:
         diversified = DiversitySelection(selected=(), steps=())
     timings = {"total_s": time.perf_counter() - started}
@@ -306,15 +311,17 @@ def run_solver(config: SolverConfig,
                      diversified=diversified, timings=timings)
 
 
-def diversity_enhancement(graphs: Sequence[Graph], limit: int,
-                          key: Optional[Callable[[Graph], str]] = None
+def diversity_enhancement(graphs: Sequence[Graph], limit: int
                           ) -> DiversitySelection:
     """Dedup up to isomorphism, then spread by greedy max-min Hamming.
 
-    The first pick maximizes distance from the complete graph; each later
-    pick maximizes the minimum distance to everything already chosen.
-    Ties always go to the lexicographically smallest bit string.  `key` is
-    passed on to `deduplicate`.
+    Isomorphic graphs share their sorted degree sequence, so a graph whose
+    sequence no other distinct graph of the batch has is a class of its
+    own, keyed by that sequence.  Only the graphs that share a sequence are
+    canonically labelled, each once.  Each class keeps its smallest bit
+    string.  The first pick maximizes distance from the complete graph;
+    each later pick maximizes the minimum distance to everything already
+    chosen.  Ties always go to the lexicographically smallest bit string.
     """
     if not graphs:
         raise EmptyArchiveError("diversity enhancement needs a non-empty"
@@ -322,7 +329,11 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int,
     orders = {g.n for g in graphs}
     if len(orders) != 1:
         raise ValueError("diversity enhancement needs equal orders")
-    representatives = deduplicate(graphs, key=key)
+    sequence = {g: tuple(sorted(g.degrees)) for g in graphs}
+    shared = Counter(sequence.values())
+    representatives = deduplicate(
+        sequence, key=lambda g: canonical_form(g).key
+        if shared[sequence[g]] > 1 else repr(sequence[g]))
     reference = complete(next(iter(orders)))
 
     chosen: list[Graph] = []

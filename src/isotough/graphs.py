@@ -385,6 +385,8 @@ _SCALARS = {
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
 }
+# JSON's array types; a lookup of any other type raises KeyError
+_ARRAYS = {list: iter, tuple: iter}
 
 
 def _json_value(value, depth: int, sort_keys: bool) -> str:
@@ -407,8 +409,18 @@ def _json_value(value, depth: int, sort_keys: bool) -> str:
         try:  # an array of scalars, such as an edge, needs no call per item
             items = [_SCALARS[type(item)](item) for item in value]
         except KeyError:
-            items = [_json_value(item, depth + 1, sort_keys)
-                     for item in value]
+            try:  # nor does an array of such arrays, such as the edges
+                rows = [[_SCALARS[type(x)](x)
+                         for x in _ARRAYS[type(item)](item)]
+                        for item in value]
+            except KeyError:
+                items = [_json_value(item, depth + 1, sort_keys)
+                         for item in value]
+            else:
+                deeper = inner + "  "
+                comma = "," + deeper
+                items = [f"[{deeper}{comma.join(row)}{inner}]" if row
+                         else "[]" for row in rows]
         body = ("," + inner).join(items)
         return f"[{inner}{body}{newline}]" if body else "[]"
     return json.dumps(value)

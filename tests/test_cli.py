@@ -429,6 +429,30 @@ def test_every_subcommand_refuses_a_flag_it_does_not_read(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["solve", "--n", "7", "--k", "2", "--out", "unused", "--m", "0.5"],
+     "--m"),
+    (["solve", "--n", "7", "--k", "2", "--out", "unused", "--gen", "5"],
+     "--gen"),
+    (["exact", "--n", "3", "--bit", "111"], "--bit"),
+    (["enumerate", "--n", "6", "--k", "2", "--sco", "2", "3"], "--sco"),
+    (["family", "star", "--n", "4", "--form", "dot"], "--form"),
+    (["certify", "--k", "2", "--bits", "111", "--n", "3", "--show"],
+     "--show"),
+    (["explore", "--n", "3"], "--n"),
+    (["benchmark", "--n", "6", "--k", "2", "--run", "2"], "--run"),
+    (["scope", "--n", "7", "--k", "2", "--capa", "3"], "--capa"),
+], ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_no_subcommand_reads_a_prefix_of_a_flag(argv, prefix, capsys):
+    # a prefix is not read as the flag it starts: --m is not
+    # --mutation-rate, --n is not --n-max
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    tail = " ".join(argv[argv.index(prefix):])
+    assert f"unrecognized arguments: {tail}" in captured.err
+
+
 # ----- certify --------------------------------------------------------------
 
 def test_boundary_family_pipe(capsys, monkeypatch):
@@ -753,47 +777,47 @@ def test_solve_into_a_used_directory_leaves_only_its_own_files(
 # Python.
 GOLDEN_N12_K3 = {
     "manifest.json":
-        "7f183b7bd87edc4cd28499788aac14838eb3ca9a91c818b16cc47bb08dab8307",
+        "7cf045f8ce014885e374739cf0d22d18a45b1353e3bacbc302992df1bedd8355",
     "selected-0.dot":
-        "289a1758a661e1722fd8aadd8253cd0b4aeae43aabfb5959ee6e31c3cfe55e49",
+        "24b9472b8e7d71efd06d6043b16c4e4c640e14f5ae34270ac64503c47a95a47a",
     "selected-0.json":
-        "892f5e56515147dcd56827d3aeb8007aef56f52034a0eb08021c5f89d4c290a2",
+        "6f6b4f3e4c9bdb348bc0b9d36ba7846da59c9c659a80a606b4eea3a584f6dad0",
     "selected-1.dot":
-        "a12d0f7d1891ef4a9cb21ca28e8af22c912ad9ead5b051f2d693d01177efe9f2",
-    "selected-1.json":
-        "ebd3ec28661daa1ac297555321ae942d3fc0d40062a89c6644044db71ad5863a",
-    "selected-2.dot":
-        "a5f46ebe047b9cd33308c3320d9e6e0dfe01a598411f949bd7479c78cb19789e",
-    "selected-2.json":
-        "f691c7af3f4f0f4bf302a1eff833128569cd6d6b3115e7a59121234f25ee5583",
-    "selected-3.dot":
-        "52c174244106b037b8c44f8f486260d5423963863bf156b658238e48cc3fcb20",
-    "selected-3.json":
-        "9036ce6f489ec52668e2b767884b71c75f96acd0db50b0585c412dd6916e4cd8",
-    "selected-4.dot":
-        "c5801a00124afb81a42c19f1d7e473f018d451e278a6e6f58aa91e556232c5c0",
-    "selected-4.json":
-        "f787dc96541e63c19a32bcbb05a66f3e72456daeab8a3ba5e51e7e450e8f550a",
-    "selected-5.dot":
-        "9aaaf76991b1904675e74d6634be381dbd0cfc00fabe3a9db1a798136f285b31",
-    "selected-5.json":
-        "f04ba1652906fbe8d66b768c38923ab1f033e11e961d98ab6353d6fde1ea8683",
-    "selected-6.dot":
-        "9493d07d9c73784036ddc10aa9874fbaacbbe2d1b3ccbfe09c5c4a974f494264",
-    "selected-6.json":
-        "fb65155685246f4da3129f135fc362d3abceb2516a6902401991c8b7cf4e4e40",
-    "selected-7.dot":
         "7680daa29fa3ae7e2b3418cf57e96a692062f2802c9e3eefd4e93a8958e25c33",
-    "selected-7.json":
+    "selected-1.json":
         "91a3267f4ca8b345053fa7b0c439c81f68a632faccc995c6150f4578b3a6e658",
+    "selected-2.dot":
+        "7ee6061061681c504b1ec233cdb6e21fec36fb1ef2aae6cadebd7c60a0b0f1d0",
+    "selected-2.json":
+        "8131653ec44b80fcc08c45ede696327cc958720daab02f8ea684c15aee9edfa2",
+    "selected-3.dot":
+        "1f7f95164da4f4a1c5ec3b4038dfcdaec8bfda488f84f123dbdb39468a13f806",
+    "selected-3.json":
+        "6837fe66581fe9b98cc697e1d24307f1dde5056f088eb8ba5239747bc4b464f2",
+    "selected-4.dot":
+        "68597919c2b06ba96d6ac196ac5f03b35f18fb3f2ed30a636ce7b800bd7c6acc",
+    "selected-4.json":
+        "feac7744be3897eef54fbf0daeaf50ed97952758384d6cd4b75a6ef8abf6883c",
+    "selected-5.dot":
+        "0b4e5ae1fa30aaeeadefd1b53e740a8701ca97a5dddcea3cf0ae8852d07a5c2f",
+    "selected-5.json":
+        "152bb2fea44a12e47647c0a3214767cebc43b97282aea44f4457cc8e44a3d28e",
+    "selected-6.dot":
+        "47306988b5706a8fe66ecc94833d0887b5b88831cca6242c0886f8cb578454e3",
+    "selected-6.json":
+        "6907076624e3b2a8daae6444bf00a727ca8c2732904e2b9f1ea81fad5e34380e",
+    "selected-7.dot":
+        "577b015202182e60a09499a70ace37c6745f714a3920f8b8ada3133b60360a20",
+    "selected-7.json":
+        "8bde53a0b12650a94854934b1e90ec40388ce26f006c9370b232eeac0d881c30",
     "selected-8.dot":
-        "61b3bd8f9ea571e890bdbb4386f32ced2b9bee21f714328bc600d85565bc6dbf",
+        "a5f46ebe047b9cd33308c3320d9e6e0dfe01a598411f949bd7479c78cb19789e",
     "selected-8.json":
-        "bab3e270b0f3033887fc34c5624ff87b539d4e3d748c08af4f2debc7923dd16b",
+        "f691c7af3f4f0f4bf302a1eff833128569cd6d6b3115e7a59121234f25ee5583",
     "selected-9.dot":
-        "d31c14fd85d0805ca056b3624ceb79c59bbc36def6a6be493ca8e6739b6bc20f",
+        "01c4f4c2c3d4601c2b9072bdb96aebcbc2284be3cf722d9759c9457a22c7ee1f",
     "selected-9.json":
-        "1b35abf98af4c013c411334553f95fc6fc59e88ea6a4325df9c16cccac1a8ea7",
+        "305e53e40e6849fec279c78cc0499c6f1209037f2add32a6f9d7cedabc2a7759",
     "summary.csv":
         "cfb2d104c8d8b50573ccdc0ac0ca0605724c8151fbe419f6586dbf63511335b2",
 }

@@ -1,6 +1,7 @@
 """Evolutionary solver: operators, generation loop, diversity, reporting."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from isotough import canonical, evolve
 from isotough.canonical import are_isomorphic, deduplicate
 from isotough.errors import EmptyArchiveError, ScopeError
 from isotough.evolve import (
+    DiversitySelection,
+    DiversityStep,
     SolverConfig,
     binary_mutation,
     counterexample_parameter,
@@ -21,7 +24,8 @@ from isotough.evolve import (
 )
 from isotough.factors import requirement_check
 from isotough.graphs import Graph, complete, counterexample_family, \
-    empty_graph, from_bits, from_edges, hamming_distance, pair_count
+    disjoint_cliques, empty_graph, from_bits, from_edges, \
+    hamming_distance, pair_count
 from isotough.rational import INFINITY
 from isotough.toughness import exact_isolated_toughness_variant
 
@@ -189,13 +193,22 @@ def test_harvest_is_per_bucket_minimum():
         harvests.setdefault(record.generation, {})[record.delta] = record
     assert harvests
     assert sum(map(len, harvests.values())) == len(result.archive)
+    # ties go to a graph not archived yet, then to the smallest bits; at
+    # this seed the archived rule decides some ties
+    archived, decided_by_archive = set(), 0
     for summary in result.generations:
         harvested = harvests.get(summary.generation, {})
         assert set(harvested) == set(summary.buckets)
-        for delta, best in harvested.items():
-            bucket = summary.buckets[delta]
+        for delta in sorted(harvested):
+            best, bucket = harvested[delta], summary.buckets[delta]
             assert best in bucket
             assert all(best.value <= record.value for record in bucket)
+            assert best == min(bucket, key=lambda r: (
+                r.value, r.graph.code in archived, r.graph.bits()))
+            decided_by_archive += best != min(
+                bucket, key=lambda r: (r.value, r.graph.bits()))
+            archived.add(best.graph.code)
+    assert decided_by_archive
 
 
 def test_population_size_constant_each_generation():
@@ -248,8 +261,16 @@ def test_unverified_stream_when_order_above_limit():
         assert not record.verified
 
 
-def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
-    # the harvest tie-break and diversification share one key per code
+def _sorted_degrees(g):
+    return tuple(sorted(g.degrees))
+
+
+def test_solver_labels_only_archived_graphs_sharing_a_degree_sequence(
+        monkeypatch):
+    # the harvest labels nothing; the diversity step labels each archived
+    # graph whose sorted degree sequence another archived graph shares,
+    # once, and no other graph.  At (12, 3) seed 42 no archived graph
+    # shares its sequence, so nothing is labelled.
     real = canonical.canonical_form
     seen = []
 
@@ -259,13 +280,21 @@ def test_solver_canonicalizes_each_distinct_code_once(monkeypatch):
 
     monkeypatch.setattr(evolve, "canonical_form", counting)
     monkeypatch.setattr(canonical, "canonical_form", counting)
-    config = SolverConfig(n=7, k=2, generations=30, seed=42)
-    result = run_solver(config)
-    assert result.diversified.selected
-    assert len(seen) == len(set(seen))
-    assert {r.graph.code for r in result.archive} <= set(seen)
-    assert result.diversified == diversity_enhancement(
-        [r.graph for r in result.archive], config.population_size)
+    for n, k, seed, labels in ((7, 2, 42, True), (9, 2, 42, True),
+                               (12, 3, 42, False)):
+        seen.clear()
+        config = SolverConfig(n=n, k=k, generations=30, seed=seed)
+        result = run_solver(config)
+        labelled = seen[:]
+        assert result.diversified.selected
+        archived = {r.graph for r in result.archive}
+        sharing = Counter(map(_sorted_degrees, archived))
+        assert bool(labelled) == labels
+        assert len(labelled) == len(set(labelled))
+        assert set(labelled) == {g.code for g in archived
+                                 if sharing[_sorted_degrees(g)] > 1}
+        assert result.diversified == diversity_enhancement(
+            [r.graph for r in result.archive], config.population_size)
 
 
 def test_solver_evaluates_each_distinct_code_once(monkeypatch):
@@ -381,6 +410,64 @@ def test_diversity_each_step_is_greedy_optimal(seed, n, size, limit):
             measured = min(hamming_distance(step.chosen, earlier)
                            for earlier in chosen_before)
             assert measured == step.distance
+
+
+def _deduplicated_selection(batch, limit):
+    """The greedy spread over deduplicate(batch), which labels every
+    graph canonically, recomputing each score at every step."""
+    remaining = sorted(deduplicate(batch), key=lambda g: g.bits())
+    reference = complete(batch[0].n)
+    chosen, steps = [], []
+    while remaining and len(chosen) < limit:
+        scores = [min(hamming_distance(g, c) for c in chosen) if chosen
+                  else hamming_distance(g, reference) for g in remaining]
+        best = max(scores)
+        pick = remaining.pop(scores.index(best))
+        chosen.append(pick)
+        steps.append(DiversityStep(chosen=pick, distance=best))
+    return DiversitySelection(selected=tuple(chosen), steps=tuple(steps))
+
+
+def _relabeled(g, permutation):
+    return from_edges(g.n, [(permutation[u], permutation[v])
+                            for u, v in g.edges()])
+
+
+K33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+PRISM = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                       (0, 3), (1, 4), (2, 5)])
+C6 = from_edges(6, [(v, (v + 1) % 6) for v in range(6)])
+TWO_K3 = disjoint_cliques(2, 3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_diversity_matches_selection_over_full_canonical_dedup(seed):
+    rng = random.Random(seed)
+    n = 6
+    batch = [Graph(n, rng.getrandbits(pair_count(n))) for _ in range(10)]
+    batch += [K33, PRISM, C6, TWO_K3]
+    # relabelled twins, some of them of the named pairs, and repeats
+    for g in rng.sample(batch, 6):
+        permutation = list(range(n))
+        rng.shuffle(permutation)
+        batch.append(_relabeled(g, permutation))
+    batch += rng.sample(batch, 3)
+    rng.shuffle(batch)
+    for limit in (1, 3, 8, len(batch)):
+        assert diversity_enhancement(batch, limit) \
+            == _deduplicated_selection(batch, limit)
+
+
+@pytest.mark.parametrize("g, h, classes", [
+    (K33, PRISM, 2), (C6, TWO_K3, 2),
+    (K33, _relabeled(K33, (0, 3, 1, 4, 2, 5)), 1),
+    (PRISM, _relabeled(PRISM, (0, 1, 3, 2, 4, 5)), 1)])
+def test_diversity_separates_classes_within_a_degree_sequence(g, h, classes):
+    assert g != h and sorted(g.degrees) == sorted(h.degrees)
+    assert are_isomorphic(g, h) == (classes == 1)
+    selection = diversity_enhancement([g, h, g], 5)
+    assert len(selection.selected) == classes
+    assert selection == _deduplicated_selection([g, h, g], 5)
 
 
 def test_diversity_respects_budget():

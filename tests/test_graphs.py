@@ -438,6 +438,17 @@ JSON_VALUES = [
     (1, (2, 3), [4, {"k": (5,)}]),
     {"10": 1, "3": {"2": [True, [False, None]], "1": []}, "": 0},
     {"deep": [[[[[[1]]]]]], "n": -7, "big": 1 << 70},
+    # arrays of arrays, mixed with what the scalar-array path must refuse
+    [[0, 1], [0, 2], [1, 2]],
+    [[1, 2], [], (3, "x", None, True)],
+    [[1, 2], 3, [], [[4]], {"a": [5, 6]}],
+    [("a", 0.5), ("b", 1.5), ("c", float("nan"))],
+    (("a", "b"), ("é", ""), ()),
+    [[], []],
+    [[1], "ab"],
+    ["ab", [1]],
+    [[1, 2.5], [3]],
+    [[1, [2]], [3]],
 ]
 
 

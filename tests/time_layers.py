@@ -7,12 +7,13 @@ Solves.  Each of the benchmark's six solve inputs (INPUTS) runs through
 `cli.main` at seed 0 untimed, then at seeds 1..SEEDS (default 5).  A probe
 over `cli.run_solver`, `cli._result_files`, `evolve.canonical_form` and
 `evolve._next_population` prints the median ms per solve of each part:
-main (the whole call), solver (`run_solver`), canonical (the keys the
-search takes, inside the solver), render (every result file's text, no
-I/O), write (render return to main return: creating the files, then the
-lines printed) and parser (main start to solver start).  At seeds
-0..SEEDS it also records each distinct encoding a generation decides and
-each one the search keys.
+main (the whole call), solver (`run_solver`), canonical (the labels the
+diversity step takes, inside the solver: only archived graphs whose
+sorted degree sequence another archived graph shares), render (every
+result file's text, no I/O), write (render return to main return:
+creating the files, then the lines printed) and parser (main start to
+solver start).  At seeds 0..SEEDS it also records each distinct encoding
+a generation decides and each one the diversity step labels (keyed).
 
 Census.  The benchmark's census pass at ORDER (default 7, at most
 oracle.ENUMERATION_LIMIT, 9): enumerate_exact(ORDER, 2) and (ORDER, 3), and
@@ -42,7 +43,8 @@ decided graphs and on the classes of order ORDER at k = 2:
 - value: `exact_variant_value`: I' alone, no minimizers, as certify, graph
   JSON and a solve generation with no passer take it;
 - screen: one pseudo-greedy screen, drawing from `random.Random(0)`;
-- canonical: `canonical_form`, over the graphs keyed (for the classes, all);
+- canonical: `canonical_form`, over the graphs keyed, those the diversity
+  step labels (for the classes, all; '-' where a solve labels none);
 - flow: `has_fractional_factor(g, FactorSpec.k_factor(k))`.
 
 Each column also gives its counts, its share of each decision and the
