@@ -21,13 +21,15 @@ to the smallest bit string, so the harvest labels no graph canonically;
 only the diversity step does, and only for archived graphs whose sorted
 degree sequence another archived graph shares.  The
 next population comes from random non-self pairing, single-point
-crossover and per-bit mutation, with the elite surviving unchanged.
+crossover and per-bit mutation, with the elite surviving unchanged; each
+mutation mask is drawn a word of getrandbits at a time (_bernoulli_mask).
 
 All randomness comes from random.Random streams, one per purpose, each
 seeded with the string "seed:phase:generation:index"; CPython hashes a
 string seed with SHA-512, so the streams stay apart, and each
 individual's draws do not depend on the order in which the population is
-evaluated.  Every draw is a call to random(), whose sequence CPython
+evaluated.  Every draw is a call to random() or getrandbits() on such a
+stream.  Both read CPython's Mersenne Twister, whose sequences CPython
 keeps fixed across versions, so equal flags give equal results on every
 supported Python.
 """
@@ -135,13 +137,45 @@ def flip_bits(g: Graph, mask: int) -> Graph:
     return Graph(g.n, g.code ^ mask)
 
 
+@functools.cache
+def _binary_digits(rate: float) -> tuple[int, ...]:
+    """The binary digits of a rate in [0, 1), most significant first.
+
+    Doubling a float and subtracting 1 from a float in [1, 2) are exact,
+    so the digits are exact and end with the last 1 of the expansion.
+    """
+    digits = []
+    while rate:
+        rate *= 2
+        digits.append(int(rate >= 1))
+        rate -= digits[-1]
+    return tuple(digits)
+
+
 def _bernoulli_mask(rng: random.Random, length: int, rate: float) -> int:
-    """Bit p set when the p-th of `length` uniform draws is below rate."""
-    draw = rng.random
+    """Bit p set when a uniform U_p in [0, 1) is below rate.
+
+    Word i = 1, 2, ... of rng.getrandbits(length) holds the i-th binary
+    digit of every U_p, bit p for U_p.  A position is decided at the first
+    digit where U_p and rate differ (set when rate has the 1), or unset
+    once rate's digits run out, since U_p >= rate then; words are drawn
+    only while a position is undecided, about log2(length) + 2 of them.
+    Rate 0 draws nothing and rate 1 sets every bit without a draw.
+    """
+    undecided = (1 << length) - 1
+    if rate >= 1.0:
+        return undecided
+    draw = rng.getrandbits
     mask = 0
-    for position in range(length):
-        if draw() < rate:
-            mask |= 1 << position
+    for digit in _binary_digits(rate):
+        if not undecided:
+            break
+        kept = undecided & draw(length)  # U_p's digit is 1 here
+        if digit:
+            mask |= undecided ^ kept
+            undecided = kept
+        else:
+            undecided ^= kept
     return mask
 
 
@@ -152,6 +186,15 @@ def binary_mutation(g: Graph, rate: float, rng: random.Random) -> Graph:
     return flip_bits(g, _bernoulli_mask(rng, pair_count(g.n), rate))
 
 
+def _crossover_codes(first: int, second: int, length: int,
+                     rng: random.Random) -> tuple[int, int]:
+    """Both children's codes: the tails swapped at one uniform cut."""
+    cut = 1 + int(rng.random() * (length - 1))  # both extremes excluded
+    low = (1 << cut) - 1
+    high = ((1 << length) - 1) ^ low
+    return (first & low) | (second & high), (second & low) | (first & high)
+
+
 def single_point_crossover(g1: Graph, g2: Graph, rng: random.Random
                            ) -> tuple[Graph, Graph]:
     """Swap the tails of two equal-order encodings at a uniform cut."""
@@ -160,11 +203,8 @@ def single_point_crossover(g1: Graph, g2: Graph, rng: random.Random
     length = pair_count(g1.n)
     if length < 2:
         raise ValueError("crossover needs at least two encoded bits")
-    cut = 1 + int(rng.random() * (length - 1))  # both extremes excluded
-    low = (1 << cut) - 1
-    high = ((1 << length) - 1) ^ low
-    return (Graph(g1.n, (g1.code & low) | (g2.code & high)),
-            Graph(g2.n, (g2.code & low) | (g1.code & high)))
+    child1, child2 = _crossover_codes(g1.code, g2.code, length, rng)
+    return Graph(g1.n, child1), Graph(g2.n, child2)
 
 
 def counterexample_parameter(n: int, k: int) -> Optional[int]:
@@ -225,18 +265,20 @@ def _next_population(population: Sequence[Graph], elite: Graph,
     for at in range(size - 1, 0, -1):  # Fisher-Yates
         swap = int(rng.random() * (at + 1))
         order[at], order[swap] = order[swap], order[at]
-    offspring: list[Graph] = []
+    n, rate = config.n, config.mutation_rate
+    length = pair_count(n)
+    # the elite and size - 1 children, each built once from its crossover
+    # code XOR its mask, drawn in the order cut, first mask, second mask; a
+    # pair's second child past size - 1 is neither drawn nor built
+    offspring = [elite]
     for at in range(0, size - 1, 2):
-        first, second = population[order[at]], population[order[at + 1]]
-        child1, child2 = single_point_crossover(first, second, rng)
-        offspring.append(binary_mutation(child1, config.mutation_rate, rng))
-        offspring.append(binary_mutation(child2, config.mutation_rate, rng))
-    if size % 2:
-        first = population[order[-1]]
-        second = population[order[0]]
-        child, _ = single_point_crossover(first, second, rng)
-        offspring.append(binary_mutation(child, config.mutation_rate, rng))
-    return [elite] + offspring[:size - 1]
+        children = _crossover_codes(population[order[at]].code,
+                                    population[order[at + 1]].code,
+                                    length, rng)
+        for code in children[:size - len(offspring)]:
+            offspring.append(
+                Graph(n, code ^ _bernoulli_mask(rng, length, rate)))
+    return offspring
 
 
 def run_solver(config: SolverConfig,

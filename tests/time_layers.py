@@ -9,7 +9,9 @@ over `cli.run_solver`, `cli._result_files`, `evolve.canonical_form` and
 `evolve._next_population` prints the median ms per solve of each part:
 main (the whole call), solver (`run_solver`), canonical (the labels the
 diversity step takes, inside the solver: only archived graphs whose
-sorted degree sequence another archived graph shares), render (every
+sorted degree sequence another archived graph shares), breed (inside the
+solver: `_next_population`, the crossover and mutation of every
+generation's offspring), render (every
 result file's text, no I/O), write (render return to main return:
 creating the files, then the lines printed) and parser (main start to
 solver start).  At seeds 0..SEEDS it also records each distinct encoding
@@ -79,7 +81,8 @@ INPUTS = (
     (7, 2, ()), (9, 2, ()), (12, 3, ()), (13, 3, ()), (16, 3, ()),
     (18, 3, ("--exact-verify-limit", "18", "--generations", "25")),
 )
-PARTS = ("main", "solver", "canonical", "render", "write", "parser")
+PARTS = ("main", "solver", "canonical", "breed", "render", "write",
+         "parser")
 PASSES = 10
 # requirement_check's outcomes: group and row label
 OUTCOMES = (("degree", "rejected by degree"), ("value", "rejected by value"),
@@ -117,14 +120,14 @@ def fastest(call, repeats=5):
 
 
 class Probe:
-    """Timestamps around run_solver and _result_files, a running total of
-    canonical_form and the encodings decided (each generation reaches
-    _next_population) and keyed, installed over the names that cli and
-    evolve look up."""
+    """Timestamps around run_solver and _result_files, running totals of
+    canonical_form and _next_population, and the encodings decided (each
+    generation reaches _next_population) and keyed, installed over the
+    names that cli and evolve look up."""
 
     def __init__(self):
         self.solver = self.render = (0.0, 0.0)
-        self.canonical = 0.0
+        self.canonical = self.breed = 0.0
         self.decided, self.keyed = set(), set()
         run_solver, form = cli.run_solver, evolve.canonical_form
         render, breed = cli._result_files, evolve._next_population
@@ -150,7 +153,10 @@ class Probe:
 
         def recording(population, *args):
             self.decided.update(g.code for g in population)
-            return breed(population, *args)
+            started = time.perf_counter()
+            offspring = breed(population, *args)
+            self.breed += time.perf_counter() - started
+            return offspring
 
         cli.run_solver, evolve.canonical_form = timed_solver, timed_form
         cli._result_files = timed_render
@@ -158,7 +164,7 @@ class Probe:
 
     def solve(self, n, k, flags, seed, out):
         """Seconds per part of one `isotough solve`, by part."""
-        self.canonical = 0.0
+        self.canonical = self.breed = 0.0
         argv = ["solve", "--n", str(n), "--k", str(k), "--seed", str(seed),
                 "--out", str(out), *flags]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -170,7 +176,7 @@ class Probe:
         begin, end = self.solver
         rendering, rendered = self.render
         return {"main": ended - started, "solver": end - begin,
-                "canonical": self.canonical,
+                "canonical": self.canonical, "breed": self.breed,
                 "render": rendered - rendering, "write": ended - rendered,
                 "parser": begin - started}
 
