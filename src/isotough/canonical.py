@@ -157,17 +157,7 @@ class CanonicalForm:
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Key `"n:<canonical bits>"`; equal keys iff isomorphic."""
-    return CanonicalForm(key=f"{g.n}:{canonical_graph(g).bits()}")
-
-
-def canonical_graph(g: Graph) -> Graph:
-    return Graph(g.n, canonical_code(g))
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    return canonical_code(g1) == canonical_code(g2)
+    return CanonicalForm(key=f"{g.n}:{Graph(g.n, canonical_code(g)).bits()}")
 
 
 def deduplicate(graphs: Iterable[Graph],

@@ -133,10 +133,6 @@ def _stream(seed: int, phase: int, generation: int, index: int
     return random.Random(f"{seed}:{phase}:{generation}:{index}")
 
 
-def flip_bits(g: Graph, mask: int) -> Graph:
-    return Graph(g.n, g.code ^ mask)
-
-
 @functools.cache
 def _binary_digits(rate: float) -> tuple[int, ...]:
     """The binary digits of a rate in [0, 1), most significant first.
@@ -183,7 +179,7 @@ def binary_mutation(g: Graph, rate: float, rng: random.Random) -> Graph:
     """Flip each encoded bit independently with the given probability."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must lie in [0, 1]")
-    return flip_bits(g, _bernoulli_mask(rng, pair_count(g.n), rate))
+    return Graph(g.n, g.code ^ _bernoulli_mask(rng, pair_count(g.n), rate))
 
 
 def _crossover_codes(first: int, second: int, length: int,
@@ -195,6 +191,7 @@ def _crossover_codes(first: int, second: int, length: int,
     return (first & low) | (second & high), (second & low) | (first & high)
 
 
+# Bound by perfbench/tracer.py; the solver breeds through _crossover_codes.
 def single_point_crossover(g1: Graph, g2: Graph, rng: random.Random
                            ) -> tuple[Graph, Graph]:
     """Swap the tails of two equal-order encodings at a uniform cut."""

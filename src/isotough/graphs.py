@@ -12,6 +12,12 @@ at worst computes it twice.  Equality, hashing and repr read only the
 order and the code, so they do not depend on whether a graph has been
 decoded.
 
+Every named family except the complete and empty graphs is a clique
+join K_c ∨ m·K_b, the clique joined with m disjoint copies of K_b, built
+by one constructor: the clique is vertices 0..c-1 and each block is the
+b vertices after the one before it.  Each family maps its parameters
+onto (c, m, b) after its own input checks.
+
 Result files are indent-2 JSON text built by `json_text`.  It writes
 exactly what `json.dumps(value, indent=2, sort_keys=...)` writes, at a
 fraction of the cost: CPython's json falls back to its pure-Python
@@ -25,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import CapacityError, GraphParseError, InputError
 
@@ -33,12 +39,13 @@ from .errors import CapacityError, GraphParseError, InputError
 # fast and every exact routine downstream is exponential in n anyway).
 MAX_ORDER = 64
 
-VertexSetLike = Union[int, Iterable[int]]
-
 
 def _check_order(n: int) -> None:
-    """CapacityError for an order above MAX_ORDER, so a caller can refuse
-    before any work that grows with the order."""
+    """InputError for a negative order and CapacityError for one above
+    MAX_ORDER, so a caller can refuse before any work that grows with the
+    order."""
+    if n < 0:
+        raise InputError(f"order must be non-negative, got {n}")
     if n > MAX_ORDER:
         raise CapacityError(
             f"order {n} exceeds the supported maximum {MAX_ORDER}")
@@ -167,8 +174,6 @@ class Graph:
     code: int = 0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"order must be non-negative, got {self.n}")
         _check_order(self.n)
         if not 0 <= self.code < 1 << pair_count(self.n):
             raise ValueError("encoded bits do not fit the given order")
@@ -205,13 +210,6 @@ class Graph:
             raise ValueError("order-0 graph has no degrees")
         return min(self.degrees)
 
-    @property
-    def edge_count(self) -> int:
-        return self.code.bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.code >> edge_index(u, v, self.n)) & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in bit-position order: row u of the adjacency shifted
         down by u + 1 holds the pairs (u, v), v > u, in ascending v."""
@@ -230,28 +228,20 @@ class Graph:
     def is_complete(self) -> bool:
         return self.code == (1 << pair_count(self.n)) - 1
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return set_bits(self.adjacency[v])
 
-
-def from_bits(n: int, bits: Union[str, Sequence[int]]) -> Graph:
-    """Build a graph from an explicit 0/1 sequence (position 0 first)."""
+def from_bits(n: int, bits: str) -> Graph:
+    """Build a graph from a 0/1 string, bit position 0 first."""
     if len(bits) != pair_count(n):
         raise GraphParseError(
             f"expected {pair_count(n)} bits for order {n}, got {len(bits)}")
     _check_order(n)
-    code = 0
     for position, bit in enumerate(bits):
-        if isinstance(bit, str):
-            if bit not in "01":
-                raise GraphParseError(f"invalid bit {bit!r}", position)
-            bit = int(bit)
-        elif bit not in (0, 1):
+        if bit not in "01":
             raise GraphParseError(f"invalid bit {bit!r}", position)
-        code |= bit << position
-    return Graph(n, code)
+    return Graph(n, int(bits[::-1] or "0", 2))
 
 
+# Bound by perfbench/workloads.py; the families build their codes directly.
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _check_order(n)
     code = 0
@@ -260,42 +250,10 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, code)
 
 
-def vertex_mask(s: VertexSetLike, n: int) -> int:
-    """Normalize a vertex collection (or ready-made bitmask) to a bitmask."""
-    if isinstance(s, int):
-        mask = s
-    else:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"vertex set does not fit order {n}")
-    return mask
-
-
-def isolated_count(g: Graph, s: VertexSetLike) -> int:
-    """Number of degree-zero vertices left after deleting the set s."""
-    mask = vertex_mask(s, g.n)
-    outside = ((1 << g.n) - 1) & ~mask
-    adjacency = g.adjacency
-    return sum(1 for v in range(g.n)
-               if (outside >> v) & 1 and adjacency[v] & outside == 0)
-
-
 def hamming_distance(g1: Graph, g2: Graph) -> int:
     if g1.n != g2.n:
         raise ValueError("hamming distance needs equal orders")
     return (g1.code ^ g2.code).bit_count()
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Graph join: disjoint union plus every cross edge; CapacityError
-    above MAX_ORDER."""
-    n = g1.n + g2.n
-    edges = list(g1.edges())
-    edges += [(u + g1.n, v + g1.n) for u, v in g2.edges()]
-    edges += [(u, v) for u in range(g1.n) for v in range(g1.n, n)]
-    return from_edges(n, edges)
 
 
 # ----- named families -------------------------------------------------------
@@ -309,37 +267,47 @@ def empty_graph(n: int) -> Graph:
     return Graph(n, 0)
 
 
+def _clique_join(c: int, m: int, b: int) -> Graph:
+    """K_c joined with m disjoint copies of K_b: a pair u < v is an edge
+    when u is in the clique or v is in u's block.  CapacityError above
+    MAX_ORDER, before any edge."""
+    n = c + m * b
+    _check_order(n)
+    code = 0
+    for u in reversed(range(n - 1)):  # row u: the pairs (u, v), v > u
+        end = n if u < c else u - (u - c) % b + b  # one past u's block
+        code = code << (n - 1 - u) | ((1 << (end - u - 1)) - 1)
+    return Graph(n, code)
+
+
 def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to every other vertex."""
     if n < 1:
         raise InputError("star needs at least one vertex")
-    _check_order(n)
-    return from_edges(n, [(0, v) for v in range(1, n)])
+    return _clique_join(1, n - 1, 1)
 
 
 def disjoint_cliques(m: int, k: int) -> Graph:
     """m disjoint copies of K_k."""
     if m < 1 or k < 1:
         raise InputError("need m >= 1 and k >= 1")
-    _check_order(m * k)
-    edges = []
-    for block in range(m):
-        base = block * k
-        edges += [(base + u, base + v)
-                  for u in range(k) for v in range(u + 1, k)]
-    return from_edges(m * k, edges)
+    return _clique_join(0, m, k)
 
 
 def clique_join_blocks(c: int, m: int, k: int) -> Graph:
     """K_c joined with m disjoint copies of K_k."""
-    return join(complete(c), disjoint_cliques(m, k))
+    _check_order(c)
+    if m < 1 or k < 1:
+        raise InputError("need m >= 1 and k >= 1")
+    return _clique_join(c, m, k)
 
 
 def clique_join_singles(c: int, d: int) -> Graph:
     """K_c joined with d isolated vertices."""
     if d < 1:
         raise InputError("need d >= 1")
-    return join(complete(c), empty_graph(d))
+    _check_order(c)
+    return _clique_join(c, d, 1)
 
 
 def counterexample_family(k: int, t: int) -> Graph:
@@ -350,14 +318,14 @@ def counterexample_family(k: int, t: int) -> Graph:
     """
     if k < 1 or t < 0:
         raise InputError("need k >= 1 and t >= 0")
-    return clique_join_blocks(t + 1, t + 2, k)
+    return _clique_join(t + 1, t + 2, k)
 
 
 def extremal_family(k: int, l: int) -> Graph:
     """K_{l-1} joined with l copies of K_k (the tight family G_l)."""
     if k < 1 or l < 2:
         raise InputError("need k >= 1 and l >= 2")
-    return clique_join_blocks(l - 1, l, k)
+    return _clique_join(l - 1, l, k)
 
 
 # ----- serialization --------------------------------------------------------

@@ -33,6 +33,7 @@ def format_ratio(value: Ratio) -> str:
     return f"{numerator}/{denominator}"
 
 
+# Bound by perfbench/workloads.py; the package itself parses no ratio.
 def parse_ratio(text: str) -> Ratio:
     """Inverse of format_ratio; also accepts bare integers."""
     stripped = text.strip()

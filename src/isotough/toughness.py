@@ -27,10 +27,11 @@ the same ratio returns the same Fraction object, from a cache of at most
 The engine has two modes.  The full mode walks the independent sets once
 for both parameters: it keeps the plain best and the variant best, each
 with its minimizer masks, and cuts a branch only when both bound tests
-cut it.  exact_isolated_toughness_pair returns both results;
-exact_isolated_toughness and exact_isolated_toughness_variant are its
-halves.  This pass visits exactly the union of the nodes that two
-single-parameter searches would visit.  A node's ratio does not depend
+cut it.  exact_isolated_toughness_pair returns both results.  Its
+halves, exact_isolated_toughness and exact_isolated_toughness_variant,
+are kept only for perfbench's tracer, which wraps them.  This pass
+visits exactly the union of the nodes that two single-parameter
+searches would visit.  A node's ratio does not depend
 on the search, and a cut branch holds no ratio below the best it was
 cut by, so each best at any point of the walk is the minimum over all
 earlier nodes, in both the pass and a single search.  Both bound tests
@@ -221,6 +222,7 @@ def exact_isolated_toughness_pair(g: Graph
     return _result(*plain), _result(*variant)
 
 
+# This and exact_isolated_toughness_variant are bound by perfbench/tracer.py.
 def exact_isolated_toughness(g: Graph) -> ToughnessResult:
     """min |S| / i(G-S) over S with i(G-S) >= 2, with all minimizers."""
     return _result(*_independent_set_search(g)[0])

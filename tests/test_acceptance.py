@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from _feasibility_oracles import cut_condition_feasible, simplex_feasible
+from _graph_helpers import cycle
 from isotough.cli import main as cli_main
 from isotough.evolve import SolverConfig, diversity_enhancement, report, \
     run_solver
@@ -27,10 +28,6 @@ from isotough.oracle import enumerate_exact, explore_minimizers, \
     nonisomorphic_graphs
 from isotough.toughness import exact_isolated_toughness, \
     exact_isolated_toughness_variant, pseudo_greedy_estimate
-
-
-def cycle(n):
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def random_graph(n, rng):

@@ -27,9 +27,7 @@ from isotough.oracle import MinimizerSurvey, benchmark
 from isotough.rational import format_ratio, parse_ratio
 from isotough.toughness import DEFAULT_EXACT_LIMIT, exact_variant_value
 
-
-def cycle(n):
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+from _graph_helpers import cycle
 
 
 def feed(monkeypatch, text):
@@ -342,6 +340,49 @@ def test_family_json_is_the_indented_dump(argv, g, capsys):
     assert text == json.dumps(graph_to_json(g, i_prime), indent=2) + "\n"
     if g.n == 0:
         assert '"i_prime": null' in text
+
+
+# Literal bits of every kind, so that a relabelling fails here even though
+# the CLI and the library agree: each clique comes first, then each block.
+FAMILY_BITS = [
+    (["complete", "--n", "1"], ""),
+    (["complete", "--n", "4"], "111111"),
+    (["empty", "--n", "0"], ""),
+    (["empty", "--n", "3"], "000"),
+    (["star", "--n", "1"], ""),
+    (["star", "--n", "2"], "1"),
+    (["star", "--n", "5"], "1111000000"),
+    (["cliques", "--m", "1", "--b", "3"], "111"),
+    (["cliques", "--m", "2", "--b", "1"], "0"),
+    (["cliques", "--m", "3", "--b", "2"], "100000000100001"),
+    (["clique-singles", "--c", "0", "--d", "3"], "000"),
+    (["clique-singles", "--c", "2", "--d", "3"], "1111111000"),
+    (["clique-singles", "--c", "3", "--d", "1"], "111111"),
+    (["clique-blocks", "--c", "0", "--m", "2", "--b", "3"],
+     "110001000000111"),
+    (["clique-blocks", "--c", "1", "--m", "3", "--b", "1"], "111000"),
+    (["clique-blocks", "--c", "2", "--m", "2", "--b", "2"],
+     "111111111100001"),
+    (["extremal", "--k", "1", "--l", "2"], "110"),
+    (["extremal", "--k", "3", "--l", "2"], "111111110001000000111"),
+    (["extremal", "--k", "2", "--l", "3"], "1111111111111100000000100001"),
+    (["counterexample", "--k", "1", "--t", "0"], "110"),
+    (["counterexample", "--k", "2", "--t", "1"],
+     "1111111111111100000000100001"),
+    (["counterexample", "--k", "3", "--t", "4"],
+     "1111111111111111111111111111111111111111111111111111111111111111"
+     "1111111111111111111111111111111111111100000000000000010000000000"
+     "0000000000000000000011000000000000100000000000000000000000011000"
+     "0000001000000000000000000110000001000000000000110001000000111"),
+]
+
+
+@pytest.mark.parametrize("argv, bits", FAMILY_BITS,
+                         ids=lambda value: " ".join(value)
+                         if isinstance(value, list) else "")
+def test_family_bits_are_pinned(argv, bits, capsys):
+    assert main(["family", *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bits"] == bits
 
 
 # each family kind's flags in order: every name of each, and a small value
@@ -879,7 +920,7 @@ def test_library_value_error_mid_solve_exits_four(capsys, tmp_path,
     lambda: star(0),
     lambda: empty_graph(-1),
     lambda: extremal_family(0, 2),
-    lambda: isotough.exact_isolated_toughness(empty_graph(0)),
+    lambda: isotough.exact_isolated_toughness_pair(empty_graph(0)),
     lambda: isotough.from_bits(3, "12"),
 ], ids=range(14))
 def test_checks_reachable_from_the_command_line_raise_input_error(call):

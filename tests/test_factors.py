@@ -27,7 +27,6 @@ from isotough.graphs import (
     empty_graph,
     from_bits,
     from_edges,
-    join,
     pair_count,
     star,
 )
@@ -35,15 +34,12 @@ from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import exact_isolated_toughness_variant
 
+from _graph_helpers import complete_bipartite, cycle
 from _feasibility_oracles import (
     cut_condition_feasible,
     scipy_flow_feasible,
     simplex_feasible,
 )
-
-
-def cycle(n):
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def graphs(n_min=2, n_max=7):
@@ -257,7 +253,7 @@ def test_valueless_rejections_are_shared_per_reason_k_and_delta():
             if reason == "value-not-above-bound" else None
         assert one.bound == expected
     # the bound depends on k, so a value rejection is shared per k
-    g = join(empty_graph(3), empty_graph(4))  # K3,4: I' = 1, delta = 3
+    g = complete_bipartite(3, 4)  # K3,4: I' = 1, delta = 3
     at2 = requirement_check(g, 2, (2, 3))
     at3 = requirement_check(g, 3, (3, 3))
     assert (at2.reason, at2.delta, at2.bound) \

@@ -23,11 +23,8 @@ from isotough.graphs import (
     extremal_family,
     from_bits,
     from_edges,
-    isolated_count,
-    join,
     pair_count,
     star,
-    vertex_mask,
 )
 from isotough.oracle import nonisomorphic_graphs
 from isotough.rational import INFINITY
@@ -41,14 +38,12 @@ from isotough.toughness import (
     roulette_select,
 )
 
+from _graph_helpers import complete_bipartite, cycle, isolated_count, \
+    vertex_mask
 from _pseudo_greedy_reference import reference_estimate, \
     roulette_select_loop
 
 WORKED_BITS = "1111010010"
-
-
-def cycle(n):
-    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def brute_force(g, variant):
@@ -187,7 +182,7 @@ def test_perfect_matching_on_24_vertices():
 
 
 def test_complete_bipartite_past_order_32():
-    g = join(empty_graph(17), empty_graph(17))
+    g = complete_bipartite(17, 17)
     outcome = exact_isolated_toughness_variant(g)
     assert outcome.value == Fraction(17, 16)
     assert outcome.minimizers == (tuple(range(17)), tuple(range(17, 34)))
@@ -472,7 +467,7 @@ def test_engine_values_are_shared_fractions():
 
 def test_ratio_cache_stays_within_its_bound():
     # both terms of an engine ratio are at most n <= 64
-    for g in (join(empty_graph(30), empty_graph(34)), Graph(64, 1),
+    for g in (complete_bipartite(30, 34), Graph(64, 1),
               star(64)):
         exact_isolated_toughness(g)
         exact_isolated_toughness_variant(g)
