@@ -41,6 +41,6 @@ for delta, optimum in sorted(truth.optima.items()):
 # The diversified picks are pairwise non-isomorphic and spread out in
 # edit distance, so they make genuinely different planning starts.
 print("diversified representatives:")
-for g, step in zip(result.diversified.selected, result.diversified.steps):
-    print(f"  bits={g.bits()} degrees={g.degrees}"
-          f" spread={step.distance}")
+for g, spread in zip(result.diversified.selected,
+                     result.diversified.distances):
+    print(f"  bits={g.bits()} degrees={g.degrees} spread={spread}")

@@ -13,8 +13,8 @@ from .canonical import CanonicalForm, canonical_code, canonical_form, \
 from .errors import CapacityError, ConsistencyError, EmptyArchiveError, \
     GraphParseError, InputError, ScopeError
 from .evolve import CandidateRecord, DiversitySelection, RunResult, \
-    SolverConfig, SolverReport, binary_mutation, diversity_enhancement, \
-    initial_population, report, run_solver
+    SolverConfig, SolverReport, diversity_enhancement, initial_population, \
+    report, run_solver
 from .factors import FactorCertificate, FactorSpec, RequirementVerdict, \
     certify_requirement, delta_scope, fractional_k_factor, \
     has_fractional_factor, requirement_bound, requirement_check
@@ -38,7 +38,7 @@ __all__ = [
     "GraphParseError", "INFINITY", "InputError", "MinimizerSurvey",
     "Ratio", "RequirementVerdict", "RunResult", "ScopeError",
     "SolverConfig", "SolverReport", "ToughnessResult",
-    "benchmark", "binary_mutation", "canonical_code", "canonical_form",
+    "benchmark", "canonical_code", "canonical_form",
     "certify_requirement", "clique_join_blocks", "clique_join_singles",
     "complete", "counterexample_family", "deduplicate", "delta_scope",
     "disjoint_cliques", "diversity_enhancement", "empty_graph",

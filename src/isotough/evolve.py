@@ -5,9 +5,8 @@ from factors.requirement_check, the single acceptance decision: a
 minimum degree outside scope rejects it outright, and otherwise the
 early-exit exact search either rejects it at the first ratio at or below
 the bound or returns its exact I'.  Passers keep that value for the
-harvest and the elite.  Only in a generation with no passer does the
-elite need every member's value; then the exact engine's value search,
-which keeps no minimizers, takes I', again once per encoding per run.
+harvest and the elite.  A generation with no passer keeps its member of
+largest I', found by a rising floor over its members (_walked_elite).
 Above the limit, by default toughness.DEFAULT_EXACT_LIMIT, the order
 through which every graph fits the exact engine's node budget, every
 individual is scored by the pseudo-greedy estimate, which
@@ -22,7 +21,8 @@ only the diversity step does, and only for archived graphs whose sorted
 degree sequence another archived graph shares.  The
 next population comes from random non-self pairing, single-point
 crossover and per-bit mutation, with the elite surviving unchanged; each
-mutation mask is drawn a word of getrandbits at a time (_bernoulli_mask).
+mutation mask, generation 0's included, is drawn a word of getrandbits at
+a time (_bernoulli_mask) and XORed onto a code.
 
 All randomness comes from random.Random streams, one per purpose, each
 seeded with the string "seed:phase:generation:index"; CPython hashes a
@@ -50,7 +50,7 @@ from .factors import check_capacity, check_scope, delta_scope, \
 from .graphs import Graph, _check_order, complete, counterexample_family, \
     hamming_distance, pair_count
 from .rational import Ratio
-from .toughness import DEFAULT_EXACT_LIMIT, \
+from .toughness import DEFAULT_EXACT_LIMIT, exact_variant_above, \
     exact_variant_value, pseudo_greedy_estimate
 
 DEFAULT_SEED = 42
@@ -106,15 +106,9 @@ class GenerationSummary:
 
 
 @dataclass(frozen=True)
-class DiversityStep:
-    chosen: Graph
-    distance: int
-
-
-@dataclass(frozen=True)
 class DiversitySelection:
     selected: tuple[Graph, ...]
-    steps: tuple[DiversityStep, ...]
+    distances: tuple[int, ...]  # each pick's distance when it was chosen
 
 
 @dataclass
@@ -175,6 +169,7 @@ def _bernoulli_mask(rng: random.Random, length: int, rate: float) -> int:
     return mask
 
 
+# Bound by perfbench/tracer.py; the solver XORs _bernoulli_mask itself.
 def binary_mutation(g: Graph, rate: float, rng: random.Random) -> Graph:
     """Flip each encoded bit independently with the given probability."""
     if not 0.0 <= rate <= 1.0:
@@ -213,21 +208,21 @@ def counterexample_parameter(n: int, k: int) -> Optional[int]:
 
 
 def initial_population(config: SolverConfig) -> list[Graph]:
-    """Mutated boundary-family seeds for the first half when the order
-    admits them, random Bernoulli(1/2) encodings for the remainder."""
-    length = pair_count(config.n)
-    t = counterexample_parameter(config.n, config.k)
+    """Boundary-family seeds, mutated as every child is, for the first half
+    when the order admits them, random Bernoulli(1/2) encodings for the
+    remainder."""
+    n, length = config.n, pair_count(config.n)
+    t = counterexample_parameter(n, config.k)
     base = None if t is None else counterexample_family(config.k, t)
-    seeded = config.population_size // 2
+    seeded = config.population_size // 2 if base is not None else 0
     population = []
     for index in range(config.population_size):
         rng = _stream(config.seed, _PHASE_INIT, 0, index)
-        if index < seeded and base is not None:
-            population.append(
-                binary_mutation(base, config.mutation_rate, rng))
+        if index < seeded:
+            population.append(Graph(n, base.code ^ _bernoulli_mask(
+                rng, length, config.mutation_rate)))
         else:
-            population.append(
-                Graph(config.n, _bernoulli_mask(rng, length, 0.5)))
+            population.append(Graph(n, _bernoulli_mask(rng, length, 0.5)))
     return population
 
 
@@ -252,6 +247,22 @@ def _elite(population: Sequence[Graph], values: Sequence[Ratio],
     pick = min((i for i, v in enumerate(values) if v == best),
                key=lambda i: population[i].bits())
     return population[pick]
+
+
+def _walked_elite(population: Sequence[Graph], full_value) -> Graph:
+    """_elite of a verified generation with no passer: largest I', ties to
+    the smallest bits.  In ascending bits, the first distinct member takes
+    full_value and each later one must strictly clear the best so far, so
+    a tie keeps the earlier member.  The floor stays finite: only K_n has
+    I' = INFINITY, and its bits, all ones, come last."""
+    members = sorted(set(population), key=Graph.bits)
+    elite = members[0]
+    best = full_value(elite)
+    for g in members[1:]:
+        value = exact_variant_above(g, best)
+        if value is not None:
+            elite, best = g, value
+    return elite
 
 
 def _next_population(population: Sequence[Graph], elite: Graph,
@@ -302,9 +313,6 @@ def run_solver(config: SolverConfig,
         if verified:
             verdicts = [decide(g) for g in population]
             values = [v.value for v in verdicts]
-            if not any(v.accepted for v in verdicts):
-                # no passer: the elite reads every member's full value
-                values = [exact_value(g) for g in population]
         else:
             values = _screen(population, config, generation)
             verdicts = [requirement_check(g, config.k, scope, value=v)
@@ -336,14 +344,17 @@ def run_solver(config: SolverConfig,
             buckets={d: tuple(records) for d, records in buckets.items()},
             rejects=rejects,
             false_positives=0))
-        elite = _elite(population, values, passing)
+        if verified and not any(passing):
+            elite = _walked_elite(population, exact_value)
+        else:
+            elite = _elite(population, values, passing)
         population = _next_population(population, elite, config, generation)
 
     if archive:
         diversified = diversity_enhancement([r.graph for r in archive],
                                             config.population_size)
     else:
-        diversified = DiversitySelection(selected=(), steps=())
+        diversified = DiversitySelection(selected=(), distances=())
     timings = {"total_s": time.perf_counter() - started}
     return RunResult(config=config, scope=scope, archive=archive,
                      unverified=unverified, generations=summaries,
@@ -376,7 +387,7 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int
     reference = complete(next(iter(orders)))
 
     chosen: list[Graph] = []
-    steps: list[DiversityStep] = []
+    distances: list[int] = []
     remaining = sorted(representatives, key=lambda g: g.bits())
     # each remaining graph's distance to its nearest pick, to K_n before
     # the first; the first maximum is the tie with the smallest bits
@@ -391,9 +402,9 @@ def diversity_enhancement(graphs: Sequence[Graph], limit: int
                        for g, d in zip(remaining, nearest)]
         else:
             nearest = [hamming_distance(g, pick) for g in remaining]
-        steps.append(DiversityStep(chosen=pick, distance=best))
         chosen.append(pick)
-    return DiversitySelection(selected=tuple(chosen), steps=tuple(steps))
+        distances.append(best)
+    return DiversitySelection(tuple(chosen), tuple(distances))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, GraphParseError, InputError
 
@@ -68,30 +68,9 @@ def edge_index(u: int, v: int, n: int) -> int:
     return row_start + (v - u - 1)
 
 
-def _small_sets(bits: int) -> tuple[tuple[int, ...], ...]:
-    """set_bits of every mask below 2^bits, indexed by mask: the lowest
-    bit of m is followed by the bits of m with that bit cleared."""
-    table: list[tuple[int, ...]] = [()]
-    for mask in range(1, 1 << bits):
-        table.append(((mask & -mask).bit_length() - 1,)
-                     + table[mask & (mask - 1)])
-    return tuple(table)
-
-
-# Every vertex set of a graph of order 9 or less, the largest order that
-# enumerate_exact scans (oracle.ENUMERATION_LIMIT): 512 tuples, 43 KB.
-_SMALL_SETS = _small_sets(9)
-
-
 def set_bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of a non-negative mask, ascending.
-
-    Masks below 512 are read from a table built at import, so the
-    minimizers and neighbourhoods of graphs up to order 9 cost one
-    lookup; larger masks walk their bits.
-    """
-    if mask < 512:
-        return _SMALL_SETS[mask]
+    """Positions of the set bits of a non-negative mask, ascending, found
+    by clearing the lowest set bit until none is left."""
     members = []
     while mask:
         low = mask & -mask
@@ -400,19 +379,16 @@ def json_text(value, sort_keys: bool = False) -> str:
     return _json_value(value, 0, sort_keys) + "\n"
 
 
-def graph_from_json(source: Union[str, dict]) -> Graph:
-    """Parse the JSON graph schema; derived fields are ignored."""
-    if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(f"invalid JSON: {exc.msg}",
-                                  position=exc.pos) from exc
-        except (ValueError, RecursionError) as exc:
-            # an integer too long to convert, or arrays nested too deeply
-            raise GraphParseError(f"invalid JSON: {exc}") from exc
-    else:
-        data = source
+def graph_from_json(text: str) -> Graph:
+    """Parse JSON text in the graph schema; derived fields are ignored."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphParseError(f"invalid JSON: {exc.msg}",
+                              position=exc.pos) from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer too long to convert, or arrays nested too deeply
+        raise GraphParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphParseError("graph JSON must be an object")
     try:

@@ -9,8 +9,8 @@ degree in scope it keeps the lowest variant toughness that strictly
 clears the bound, and as witness the smallest labelled encoding over
 every relabeling of the classes that reach it: the least of the tied
 classes' minima over all n! relabelings (not canonical_code's invariant),
-each found once per process by a cached search that hands out labels
-from n-1 down, each fixing the next-highest row of the encoding.
+found by a search that hands out labels from n-1 down, each fixing the
+next-highest row of the encoding, and cached once per tied set.
 
 nonisomorphic_graphs builds the classes order by order: it adds a vertex
 to each class of the order below in every way that leaves the new vertex
@@ -81,7 +81,6 @@ class EnumerationResult:
     elapsed_s: float
 
 
-@functools.cache
 def _min_code(g: Graph) -> int:
     """Smallest encoding over all relabelings of g.
 
@@ -92,8 +91,7 @@ def _min_code(g: Graph) -> int:
     v's non-neighbours, then its neighbours, so the first cell holds the
     candidates.  A branch stops once its fixed bits exceed the best code,
     at first g's own.  Of tied twins (_twin_groups) only the first is
-    tried, as swapping two is an automorphism.  Cached per graph, so each
-    shared class graph is searched at most once per process.
+    tried, as swapping two is an automorphism.
     """
     n, adj, best = g.n, g.adjacency, g.code
     below = {u: sum(1 << w for w in group[:i])  # each vertex's lower twins
@@ -123,6 +121,12 @@ def _min_code(g: Graph) -> int:
 
     search(n - 1, [((1 << n) - 1, 0)], 0)
     return best
+
+
+@functools.cache
+def _witness(tied: tuple[Graph, ...]) -> Graph:
+    """The smallest encoding over every relabeling of the tied classes."""
+    return Graph(tied[0].n, min(map(_min_code, tied)))
 
 
 def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
@@ -163,7 +167,7 @@ def enumerate_exact(n: int, k: int, scope: Optional[tuple[int, int]] = None
             optima[d] = DegreeOptimum(d, None, None)
             continue
         value, tied = best[d]
-        witness = Graph(n, min(map(_min_code, tied)))
+        witness = _witness(tuple(tied))
         require_factor(witness, k, d, value)
         optima[d] = DegreeOptimum(d, value, witness)
     return EnumerationResult(n=n, k=k, scope=scope,

@@ -191,7 +191,7 @@ def test_criterion_9_diversity_selection():
         pool = sorted(deduplicate(batch), key=lambda h: h.bits())
         chosen: list[Graph] = []
         reference = complete(6)
-        for step in selection.steps:
+        for pick, distance in zip(selection.selected, selection.distances):
             if chosen:
                 scores = {h.bits(): min(hamming_distance(h, c)
                                         for c in chosen) for h in pool}
@@ -199,9 +199,11 @@ def test_criterion_9_diversity_selection():
                 scores = {h.bits(): hamming_distance(h, reference)
                           for h in pool}
             best = max(scores.values())
-            assert scores[step.chosen.bits()] == best
-            assert step.chosen.bits() \
+            assert distance == best
+            assert scores[pick.bits()] == best
+            assert pick.bits() \
                 == min(b for b, s in scores.items() if s == best)
-            chosen.append(step.chosen)
-            pool = [h for h in pool if h.bits() != step.chosen.bits()]
+            chosen.append(pick)
+            pool = [h for h in pool if h.bits() != pick.bits()]
         assert list(selection.selected) == chosen
+        assert len(selection.distances) == len(chosen)

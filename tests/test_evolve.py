@@ -12,7 +12,6 @@ from isotough.canonical import canonical_form, deduplicate
 from isotough.errors import EmptyArchiveError, ScopeError
 from isotough.evolve import (
     DiversitySelection,
-    DiversityStep,
     SolverConfig,
     binary_mutation,
     counterexample_parameter,
@@ -22,12 +21,13 @@ from isotough.evolve import (
     run_solver,
     single_point_crossover,
 )
-from isotough.factors import requirement_check
+from isotough.factors import delta_scope, requirement_check
 from isotough.graphs import Graph, complete, counterexample_family, \
     disjoint_cliques, empty_graph, from_bits, from_edges, \
     hamming_distance, pair_count
 from isotough.rational import INFINITY
-from isotough.toughness import exact_isolated_toughness_variant
+from isotough.toughness import exact_isolated_toughness_variant, \
+    exact_variant_value
 
 
 def test_config_validation():
@@ -189,9 +189,11 @@ def test_mask_sets_no_bit_at_or_above_its_length(rate):
             assert evolve._bernoulli_mask(rng, length, rate) >> length == 0
 
 
-@pytest.mark.parametrize("n, k", [(4, 2), (7, 2), (7, 3), (13, 2)])
+@pytest.mark.parametrize("n, k", [(4, 2), (7, 2), (7, 3), (8, 2), (11, 3),
+                                  (13, 2)])
 def test_initial_population_matches_per_bit_loop(n, k):
-    # (7, 3) seeds half the population from counterexample_family(3, 0)
+    # (7, 3), (8, 2) and (11, 3) seed half the population from
+    # counterexample_family(k, t), t = 0, 1 and 1
     config = SolverConfig(n=n, k=k, seed=8)
     t = counterexample_parameter(n, k)
     seeded = config.population_size // 2 if t is not None else 0
@@ -401,6 +403,73 @@ def test_solver_evaluates_each_distinct_code_once(monkeypatch):
         assert bool(full_calls) == bool(no_passer) == expect_fallback
 
 
+def _rejected_population(n, k, seed):
+    """Eight random members that requirement_check rejects, two of them
+    repeated, and a relabelled twin of a member of largest I'; the tie
+    with the largest bits is moved to the front."""
+    rng = random.Random(f"{n}:{k}:{seed}")
+    scope = delta_scope(n, k)
+    population = []
+    while len(population) < 8:
+        g = Graph(n, rng.getrandbits(pair_count(n)))
+        if not requirement_check(g, k, scope).accepted:
+            population.append(g)
+    population += rng.sample(population, 2)
+    top = max(population, key=exact_variant_value)
+    permutation = list(range(n))
+    while True:
+        rng.shuffle(permutation)
+        twin = _relabeled(top, permutation)
+        if twin != top:
+            break
+    population.insert(rng.randrange(len(population) + 1), twin)
+    last = max((g for g in population
+                if exact_variant_value(g) == exact_variant_value(top)),
+               key=Graph.bits)
+    population.remove(last)
+    population.insert(0, last)
+    assert not any(requirement_check(g, k, scope).accepted
+                   for g in population)
+    return population
+
+
+def _elite_over_full_values(population):
+    values = [exact_variant_value(g) for g in population]
+    best = max(values)
+    return min((g for g, v in zip(population, values) if v == best),
+               key=Graph.bits)
+
+
+@pytest.mark.parametrize("n, k", [(9, 2), (13, 3), (17, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_walked_elite_matches_elite_over_full_values(n, k, seed):
+    population = _rejected_population(n, k, seed)
+    values = [exact_variant_value(g) for g in population]
+    tied = {g for g, v in zip(population, values) if v == max(values)}
+    # a tie at the maximum that population order would break wrongly
+    assert len(tied) >= 2
+    assert min(tied, key=Graph.bits) != next(
+        g for g in population if g in tied)
+    assert evolve._walked_elite(population, exact_variant_value) \
+        == _elite_over_full_values(population)
+    # a repeated complete graph is the unique member of I' = INFINITY
+    with_complete = population + [complete(n), complete(n)]
+    assert evolve._walked_elite(with_complete, exact_variant_value) \
+        == _elite_over_full_values(with_complete) == complete(n)
+
+
+def test_walked_elite_reads_one_full_value():
+    population = _rejected_population(13, 3, 0)
+    full = []
+
+    def counting(g):
+        full.append(g)
+        return exact_variant_value(g)
+
+    evolve._walked_elite(population, counting)
+    assert full == [min(population, key=Graph.bits)]
+
+
 # ----- diversity enhancement ------------------------------------------------
 
 def test_diversity_empty_archive_raises():
@@ -424,8 +493,8 @@ def test_diversity_hand_example():
     batch = [from_bits(3, "000"), from_bits(3, "011"), from_bits(3, "111")]
     selection = diversity_enhancement(batch, 2)
     assert [g.bits() for g in selection.selected] == ["000", "111"]
-    assert selection.steps[0].distance == 3
-    assert selection.steps[1].distance == 3
+    assert selection.distances[0] == 3
+    assert selection.distances[1] == 3
 
 
 def test_diversity_first_pick_is_farthest_from_complete():
@@ -443,9 +512,10 @@ def test_diversity_each_step_is_greedy_optimal(seed, n, size, limit):
              for _ in range(size)]
     selection = diversity_enhancement(batch, limit)
     pool = deduplicate(batch)
-    assert len(selection.steps) == min(limit, len(pool))
+    assert len(selection.distances) == min(limit, len(pool))
     reference = complete(n)
-    for at, step in enumerate(selection.steps):
+    for at, (chosen, distance) in enumerate(
+            zip(selection.selected, selection.distances)):
         chosen_before = selection.selected[:at]
         remaining = [h for h in pool if h not in chosen_before]
         if at:
@@ -453,14 +523,14 @@ def test_diversity_each_step_is_greedy_optimal(seed, n, size, limit):
                           for earlier in chosen_before) for h in remaining]
         else:
             scores = [hamming_distance(h, reference) for h in remaining]
-        assert step.distance == max(scores)
-        assert step.chosen.bits() == min(
+        assert distance == max(scores)
+        assert chosen.bits() == min(
             h.bits() for h, score in zip(remaining, scores)
-            if score == step.distance)
+            if score == distance)
         if at:
-            measured = min(hamming_distance(step.chosen, earlier)
+            measured = min(hamming_distance(chosen, earlier)
                            for earlier in chosen_before)
-            assert measured == step.distance
+            assert measured == distance
 
 
 def _deduplicated_selection(batch, limit):
@@ -468,15 +538,16 @@ def _deduplicated_selection(batch, limit):
     graph canonically, recomputing each score at every step."""
     remaining = sorted(deduplicate(batch), key=lambda g: g.bits())
     reference = complete(batch[0].n)
-    chosen, steps = [], []
+    chosen, distances = [], []
     while remaining and len(chosen) < limit:
         scores = [min(hamming_distance(g, c) for c in chosen) if chosen
                   else hamming_distance(g, reference) for g in remaining]
         best = max(scores)
         pick = remaining.pop(scores.index(best))
         chosen.append(pick)
-        steps.append(DiversityStep(chosen=pick, distance=best))
-    return DiversitySelection(selected=tuple(chosen), steps=tuple(steps))
+        distances.append(best)
+    return DiversitySelection(selected=tuple(chosen),
+                              distances=tuple(distances))
 
 
 def _relabeled(g, permutation):

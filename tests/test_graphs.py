@@ -190,7 +190,7 @@ def bits_by_scan(mask):
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def test_set_bits_table_covers_every_enumerated_vertex_set():
+def test_set_bits_matches_a_scan_of_every_enumerated_vertex_set():
     assert 1 << ENUMERATION_LIMIT == 512
     assert all(set_bits(mask) == bits_by_scan(mask) for mask in range(512))
 

@@ -14,7 +14,7 @@ from isotough.factors import requirement_bound
 from isotough.graphs import Graph, complete, from_bits, from_edges, \
     pair_count, star
 from isotough.oracle import MinimizerSurvey, MinimizerViolation, \
-    _min_code, benchmark, enumerate_exact, explore_minimizers, \
+    _min_code, _witness, benchmark, enumerate_exact, explore_minimizers, \
     nonisomorphic_graphs
 from isotough.rational import INFINITY
 from isotough.toughness import ToughnessResult, _independent_set_search, \
@@ -149,14 +149,14 @@ def test_min_code_is_smallest_over_all_relabelings():
             assert _min_code(twin) == smallest, g.bits()
 
 
-def test_each_tied_class_is_searched_once_per_process():
-    # the witness is the least of the tied classes' cached minima, so a
-    # repeated enumeration, or another k, starts no new witness search
+def test_each_tied_set_is_searched_once_per_process():
+    # the witness is cached per tied set, so a repeated enumeration starts
+    # no new witness search; (7, 3) has no witness to search
     enumerate_exact(7, 2)
-    searched = _min_code.cache_info().misses
+    searched = _witness.cache_info().misses
     first = enumerate_exact(7, 2)
     again = enumerate_exact(7, 3)
-    assert _min_code.cache_info().misses == searched
+    assert _witness.cache_info().misses == searched
     assert {d: o.witness.bits() for d, o in first.optima.items()} \
         == {2: "100001000011110110100", 3: "111111100010001110100"}
     assert again.optima[3].witness is None

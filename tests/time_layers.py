@@ -26,9 +26,10 @@ per pass, in seconds: the first pass after that build (cold: it decodes
 the classes of order ORDER) beside the median of the ten passes after it
 (warm: the classes are decoded, so only the searches remain).  Below each
 enumerate_exact step, a row gives the part of it spent in the min-code
-witness search over the tied classes (oracle._min_code), whose cache is
-emptied with the class cache: cold is the first search of each tied
-class, warm only the lookups of the minima cached by then.
+witness search over the tied classes (oracle._min_code), whose witness
+cache (oracle._witness, one per tied set) is emptied with the class
+cache: cold is the first search of each tied set, warm only the lookups
+of the witnesses cached by then.
 
 Routes.  Each row of ROUTES is timed as the fastest of five runs over a
 group of graphs already decoded, in us per graph, on each solve input's
@@ -222,7 +223,7 @@ def census(order):
              (f"explore_minimizers({order})",
               lambda: explore_minimizers(order)))
     oracle._level.cache_clear()
-    oracle._min_code.cache_clear()
+    oracle._witness.cache_clear()
     labelled = Counter()
     label = oracle.canonical_code
 
