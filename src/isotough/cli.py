@@ -178,6 +178,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"selected {len(result.diversified.selected)} representative(s)")
     print(f"wrote {out}")
     print(f"total {result.timings['total_s']:.2f}s")
+    if config.n > config.exact_verify_limit:
+        raise EmptyArchiveError(
+            f"n={config.n} is above the exact verify limit"
+            f" {config.exact_verify_limit}; {len(result.unverified)}"
+            f" screened harvest(s) went to unverified")
     if not result.archive:
         raise EmptyArchiveError(
             f"no qualifying graph found for n={config.n}, k={config.k}")

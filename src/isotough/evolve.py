@@ -1,37 +1,38 @@
 """Evolutionary search for graphs meeting the toughness requirement.
 
-Up to the verify limit, every distinct encoding gets one verdict per run
-from factors.requirement_check, the single acceptance decision: a
-minimum degree outside scope rejects it outright, and otherwise the
-early-exit exact search either rejects it at the first ratio at or below
-the bound or returns its exact I'.  Passers keep that value for the
-harvest and the elite.  A generation with no passer keeps its member of
-largest I', found by a rising floor over its members (_walked_elite).
-Above the limit, by default toughness.DEFAULT_EXACT_LIMIT, the order
-through which every graph fits the exact engine's node budget, every
-individual is scored by the pseudo-greedy estimate, which
-requirement_check and the elite both read.
-Up to the limit, accepted records are bucketed by minimum degree and
-each bucket's best moves into the archive, where the flow search
-certifies its fractional k-factor once more (a mismatch is a
-ConsistencyError); above the limit they go to the unverified list.  A
-tie on value goes first to a graph the archive does not hold yet, then
-to the smallest bit string, so the harvest labels no graph canonically;
-only the diversity step does, and only for archived graphs whose sorted
-degree sequence another archived graph shares.  The
-next population comes from random non-self pairing, single-point
-crossover and per-bit mutation, with the elite surviving unchanged; each
-mutation mask, generation 0's included, is drawn a word of getrandbits at
-a time (_bernoulli_mask) and XORed onto a code.
+Every distinct encoding gets one verdict per run from
+factors.requirement_check, the single acceptance decision: a minimum
+degree outside scope rejects it outright.  Up to the verify limit, by
+default toughness.DEFAULT_EXACT_LIMIT, the order through which every
+graph fits the exact engine's node budget, the early-exit exact search
+either rejects it at the first ratio at or below the bound or returns its
+exact I'.  Above the limit the pseudo-greedy estimate, drawn once per
+encoding, is compared as given.  Passers keep their value for the
+harvest and the elite.  Accepted records are bucketed by minimum degree
+and each bucket's best is the generation's harvest at that degree.  A
+tie on value goes first to a graph not harvested yet, then to the
+smallest bit string, so the harvest labels no graph canonically; only
+the diversity step does, and only for archived graphs whose sorted
+degree sequence another archived graph shares.  Up to the limit a
+harvest moves into the archive, where the flow search certifies its
+fractional k-factor once more (a mismatch is a ConsistencyError); above
+it the harvest goes to the unverified list.  A generation with no passer
+keeps its member of largest I', found by a rising floor over its members
+(_walked_elite), or of largest estimate above the limit.  The next
+population comes from random non-self pairing, single-point crossover
+and per-bit mutation, with the elite surviving unchanged; each mutation
+mask, generation 0's included, is drawn a word of getrandbits at a time
+(_bernoulli_mask) and XORed onto a code.
 
 All randomness comes from random.Random streams, one per purpose, each
-seeded with the string "seed:phase:generation:index"; CPython hashes a
-string seed with SHA-512, so the streams stay apart, and each
-individual's draws do not depend on the order in which the population is
-evaluated.  Every draw is a call to random() or getrandbits() on such a
-stream.  Both read CPython's Mersenne Twister, whose sequences CPython
-keeps fixed across versions, so equal flags give equal results on every
-supported Python.
+seeded with the string "seed:phase:generation:index", except the
+evaluation stream, which is keyed by encoding as "seed:phase:code";
+CPython hashes a string seed with SHA-512, so the streams stay apart,
+and each individual's draws do not depend on the order in which the
+population is evaluated.  Every draw is a call to random() or
+getrandbits() on such a stream.  Both read CPython's Mersenne Twister,
+whose sequences CPython keeps fixed across versions, so equal flags give
+equal results on every supported Python.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from typing import Optional, Sequence
 
 from .canonical import canonical_form, deduplicate
 from .errors import EmptyArchiveError, InputError
-from .factors import check_capacity, check_scope, delta_scope, \
-    require_factor, requirement_check
+from .factors import RequirementVerdict, check_capacity, check_scope, \
+    delta_scope, require_factor, requirement_check
 from .graphs import Graph, _check_order, complete, counterexample_family, \
     hamming_distance, pair_count
 from .rational import Ratio
@@ -92,7 +93,8 @@ class SolverConfig:
 class CandidateRecord:
     graph: Graph
     delta: int
-    value: Ratio            # exact I' when verified, else the estimate
+    value: Ratio            # exact I' when verified, else the one
+                            # estimate of its encoding in the run
     generation: int
     verified: bool
 
@@ -226,25 +228,18 @@ def initial_population(config: SolverConfig) -> list[Graph]:
     return population
 
 
-def _screen(population: Sequence[Graph], config: SolverConfig,
-            generation: int) -> list[Ratio]:
-    estimates = []
-    for index, g in enumerate(population):
-        rng = _stream(config.seed, _PHASE_EVAL, generation, index)
-        estimates.append(pseudo_greedy_estimate(g, rng))
-    return estimates
-
-
-def _elite(population: Sequence[Graph], values: Sequence[Ratio],
-           passing: Sequence[bool]) -> Graph:
-    passers = [i for i in range(len(population)) if passing[i]]
+def _elite(population: Sequence[Graph],
+           verdicts: Sequence[RequirementVerdict]) -> Graph:
+    """The passer of smallest value, else (screened only) the member of
+    largest estimate, the one closest to clearing the strict bound; ties
+    go to the smallest bits."""
+    passers = [i for i, v in enumerate(verdicts) if v.accepted]
     if passers:
         pick = min(passers,
-                   key=lambda i: (values[i], population[i].bits()))
+                   key=lambda i: (verdicts[i].value, population[i].bits()))
         return population[pick]
-    # nobody passes: keep the member closest to clearing the strict bound
-    best = max(values)
-    pick = min((i for i, v in enumerate(values) if v == best),
+    best = max(v.value for v in verdicts)
+    pick = min((i for i, v in enumerate(verdicts) if v.value == best),
                key=lambda i: population[i].bits())
     return population[pick]
 
@@ -289,65 +284,54 @@ def _next_population(population: Sequence[Graph], elite: Graph,
     return offspring
 
 
-def run_solver(config: SolverConfig,
-               population: Optional[Sequence[Graph]] = None) -> RunResult:
+def run_solver(config: SolverConfig) -> RunResult:
     started = time.perf_counter()
+    k = config.k
     scope = config.scope if config.scope is not None \
-        else delta_scope(config.n, config.k)
-    if population is None:
-        population = initial_population(config)
-    else:
-        population = list(population)
+        else delta_scope(config.n, k)
+    verified = config.n <= config.exact_verify_limit
 
+    @functools.cache  # one verdict per distinct encoding and run
+    def decide(g: Graph) -> RequirementVerdict:
+        if verified:
+            return requirement_check(g, k, scope)
+        rng = random.Random(f"{config.seed}:{_PHASE_EVAL}:{g.code}")
+        return requirement_check(g, k, scope,
+                                 value=pseudo_greedy_estimate(g, rng))
+
+    exact_value = functools.cache(exact_variant_value)
     archive: list[CandidateRecord] = []
     unverified: list[CandidateRecord] = []
+    landing = archive if verified else unverified
+    harvested: set[int] = set()
     summaries: list[GenerationSummary] = []
-    certified: set[int] = set()
-    # one entry per distinct encoding: all graphs of a run share the order
-    decide = functools.cache(
-        lambda g: requirement_check(g, config.k, scope))
-    exact_value = functools.cache(exact_variant_value)
-
-    verified = config.n <= config.exact_verify_limit
+    population = initial_population(config)
     for generation in range(config.generations):
-        if verified:
-            verdicts = [decide(g) for g in population]
-            values = [v.value for v in verdicts]
-        else:
-            values = _screen(population, config, generation)
-            verdicts = [requirement_check(g, config.k, scope, value=v)
-                        for g, v in zip(population, values)]
-        passing = [v.accepted for v in verdicts]
+        verdicts = [decide(g) for g in population]
         buckets: dict[int, list[CandidateRecord]] = {}
-        rejects = 0
-        for g, value, verdict in zip(population, values, verdicts):
-            if not verdict.accepted:
-                rejects += 1
-                continue
-            record = CandidateRecord(g, verdict.delta, value, generation,
-                                     verified)
-            if verified:
-                buckets.setdefault(verdict.delta, []).append(record)
-            else:
-                unverified.append(record)
+        for g, verdict in zip(population, verdicts):
+            if verdict.accepted:
+                buckets.setdefault(verdict.delta, []).append(CandidateRecord(
+                    g, verdict.delta, verdict.value, generation, verified))
         for delta in sorted(buckets):
-            # ties go to a graph the archive lacks, then the smallest bits
+            # ties go to a graph not harvested yet, then the smallest bits
             best = min(buckets[delta],
-                       key=lambda r: (r.value, r.graph.code in certified,
+                       key=lambda r: (r.value, r.graph.code in harvested,
                                       r.graph.bits()))
-            if best.graph.code not in certified:
-                require_factor(best.graph, config.k, delta, best.value)
-                certified.add(best.graph.code)
-            archive.append(best)
+            if best.graph.code not in harvested:
+                if verified:
+                    require_factor(best.graph, k, delta, best.value)
+                harvested.add(best.graph.code)
+            landing.append(best)
         summaries.append(GenerationSummary(
             generation=generation,
             buckets={d: tuple(records) for d, records in buckets.items()},
-            rejects=rejects,
+            rejects=len(population) - sum(map(len, buckets.values())),
             false_positives=0))
-        if verified and not any(passing):
+        if verified and not buckets:
             elite = _walked_elite(population, exact_value)
         else:
-            elite = _elite(population, values, passing)
+            elite = _elite(population, verdicts)
         population = _next_population(population, elite, config, generation)
 
     if archive:

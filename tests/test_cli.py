@@ -1012,21 +1012,28 @@ def test_manifest_sorts_degree_keys_as_strings(capsys, tmp_path):
 ], ids=["7-2", "23-2", "25-3-screened"])
 def test_accepted_degrees_are_the_archived_harvests(argv, code, capsys,
                                                     tmp_path):
-    # a generation's harvest at degree d is the archive record with that
-    # generation and delta d, one for each degree it accepted; above the
-    # verify limit nothing is accepted and nothing archived
+    # a generation's harvest at degree d is the record with that
+    # generation and delta d, one for each degree it accepted: in the
+    # archive, or above the verify limit in unverified, with the archive
+    # empty and the exit-3 message counting those harvests
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == code
-    capsys.readouterr()
+    err = capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert all(set(entry) == {"accepted", "generation", "rejects"}
                for entry in manifest["generations"])
     accepted = sorted((entry["generation"], int(delta))
                       for entry in manifest["generations"]
                       for delta in entry["accepted"])
+    landed = manifest["unverified"] if code == 3 else manifest["archive"]
     harvested = sorted((record["generation"], record["delta"])
-                       for record in manifest["archive"])
+                       for record in landed)
     assert accepted == harvested
+    if code == 3:
+        assert accepted and manifest["archive"] == []
+        assert err.startswith("empty archive:")
+        assert f"; {len(landed)} screened harvest(s) went to unverified" \
+            in err
 
 
 def test_selected_files_reingest_consistently(capsys, tmp_path, monkeypatch):

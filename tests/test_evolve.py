@@ -26,8 +26,8 @@ from isotough.graphs import Graph, complete, counterexample_family, \
     disjoint_cliques, empty_graph, from_bits, from_edges, \
     hamming_distance, pair_count
 from isotough.rational import INFINITY
-from isotough.toughness import exact_isolated_toughness_variant, \
-    exact_variant_value
+from isotough.toughness import DEFAULT_EXACT_LIMIT, \
+    exact_isolated_toughness_variant, exact_variant_value
 
 
 def test_config_validation():
@@ -265,23 +265,28 @@ def test_harvest_is_per_bucket_minimum():
 
 
 def test_population_size_constant_each_generation():
-    # track population size through the public breeding helper
-    config = SolverConfig(n=7, k=2, population_size=7, generations=10,
-                          seed=2)
-    result = run_solver(config)
-    assert result.generations[-1].generation == 9
-    # bucket totals can never exceed the population size
-    for summary in result.generations:
-        accepted = sum(len(b) for b in summary.buckets.values())
-        assert accepted + summary.rejects \
-            + summary.false_positives == config.population_size
+    # every member is either bucketed as accepted or counted as a reject,
+    # verified, screened at order 7 below a lowered limit, and screened at
+    # order 25 above the default one
+    for n, limit in ((7, DEFAULT_EXACT_LIMIT), (7, 6),
+                     (25, DEFAULT_EXACT_LIMIT)):
+        config = SolverConfig(n=n, k=2, population_size=7, generations=10,
+                              seed=2, exact_verify_limit=limit)
+        result = run_solver(config)
+        assert result.generations[-1].generation == 9
+        for summary in result.generations:
+            accepted = sum(len(b) for b in summary.buckets.values())
+            assert accepted + summary.rejects \
+                + summary.false_positives == config.population_size
 
 
-def test_complete_graph_seeds_accepted_with_explicit_scope():
+def test_complete_graph_seeds_accepted_with_explicit_scope(monkeypatch):
     n, k = 6, 2
     config = SolverConfig(n=n, k=k, population_size=2, generations=1,
                           mutation_rate=0.01, scope=(k, n - 1), seed=0)
-    result = run_solver(config, population=[complete(n), complete(n)])
+    monkeypatch.setattr(evolve, "initial_population",
+                        lambda config: [complete(n), complete(n)])
+    result = run_solver(config)
     assert result.archive
     assert result.archive[0].value == INFINITY
     assert result.archive[0].delta == n - 1
@@ -295,15 +300,6 @@ def test_runs_with_same_seed_are_identical():
     assert first.diversified.selected == second.diversified.selected
 
 
-def test_explicit_initial_population_does_not_change_results():
-    config = SolverConfig(n=7, k=2, generations=15, seed=33)
-    implicit = run_solver(config)
-    explicit = run_solver(config, population=initial_population(config))
-    assert [r.graph for r in implicit.archive] \
-        == [r.graph for r in explicit.archive]
-    assert implicit.diversified.selected == explicit.diversified.selected
-
-
 def test_unverified_stream_when_order_above_limit():
     config = SolverConfig(n=7, k=2, generations=10, seed=5,
                           exact_verify_limit=6)
@@ -312,6 +308,37 @@ def test_unverified_stream_when_order_above_limit():
     assert result.unverified
     for record in result.unverified:
         assert not record.verified
+
+
+def test_screened_solve_gives_each_encoding_one_value(monkeypatch):
+    # above the verify limit each encoding is estimated once per run, on a
+    # stream keyed by seed and encoding, and each generation lands the
+    # best of each per-degree bucket, and only it, in unverified
+    real = evolve.pseudo_greedy_estimate
+    estimated = []
+
+    def recording(g, rng):
+        assert rng.getstate() == random.Random(
+            f"1:{evolve._PHASE_EVAL}:{g.code}").getstate()
+        estimated.append(g.code)
+        return real(g, rng)
+
+    monkeypatch.setattr(evolve, "pseudo_greedy_estimate", recording)
+    result = run_solver(SolverConfig(n=25, k=3, seed=1))
+    assert len(estimated) == len(set(estimated))
+    values = {}
+    bucketed = [record for summary in result.generations
+                for bucket in summary.buckets.values() for record in bucket]
+    for record in result.unverified + bucketed:
+        assert values.setdefault(record.graph, record.value) == record.value
+    assert not result.archive and result.unverified
+    assert [(r.generation, r.delta) for r in result.unverified] \
+        == [(s.generation, d) for s in result.generations
+            for d in sorted(s.buckets)]
+    for record in result.unverified:
+        bucket = result.generations[record.generation].buckets[record.delta]
+        assert record in bucket
+        assert all(record.value <= other.value for other in bucket)
 
 
 def _sorted_degrees(g):
